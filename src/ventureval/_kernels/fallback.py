@@ -1,9 +1,11 @@
 """NumPy implementation of the split-scan kernel.
 
-Mirrors the compiled version operation-for-operation: prefix sums are
-np.cumsum (sequential accumulation, same floating-point order as the C
-loop) and ties resolve to the first maximum, so both backends pick
-bit-identical splits.
+Prefix sums are np.cumsum over every row (sequential accumulation, the same
+floating-point order as the compiled loop). The gain formula then runs only
+at admissible cuts (between distinct neighbouring values, both children
+heavy enough), which on low-cardinality features is a small fraction of the
+rows; ties resolve to the first maximum, so both backends pick bit-identical
+splits.
 """
 
 from __future__ import annotations
@@ -28,22 +30,21 @@ def scan_split(values, grad, hess, reg_lambda, gamma, min_child_weight):
     g_total = gcum[-1]
     h_total = hcum[-1]
 
-    gl = gcum[:-1]
-    hl = hcum[:-1]
-    gr = g_total - gl
+    cuts = np.flatnonzero(values[:-1] != values[1:])
+    hl = hcum[cuts]
     hr = h_total - hl
-
-    boundary = values[:-1] != values[1:]
-    valid = boundary & (hl >= min_child_weight) & (hr >= min_child_weight)
-    if not valid.any():
+    heavy = (hl >= min_child_weight) & (hr >= min_child_weight)
+    cuts, hl, hr = cuts[heavy], hl[heavy], hr[heavy]
+    if cuts.shape[0] == 0:
         return float("-inf"), -1
 
-    parent = (g_total * g_total) / (h_total + reg_lambda)
+    gl = gcum[cuts]
+    gr = g_total - gl
     with np.errstate(divide="ignore", invalid="ignore"):
+        parent = (g_total * g_total) / (h_total + reg_lambda)
         gains = (
             0.5 * ((gl * gl) / (hl + reg_lambda) + (gr * gr) / (hr + reg_lambda) - parent)
             - gamma
         )
-    gains = np.where(valid, gains, float("-inf"))
-    cut = int(np.argmax(gains))
-    return float(gains[cut]), cut
+    best = int(np.argmax(gains))
+    return float(gains[best]), int(cuts[best])

@@ -406,6 +406,8 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
         ),
         seed=config_mod.derive_seed(cfg.seed, "baseline"),
     )
+    if len({p.success for p in train}) == 1:
+        raise DataError("training labels contain a single class")
     model = gbdt_mod.fit(
         features_mod.feature_matrix(train), features_mod.label_vector(train), model_config
     )

@@ -7,6 +7,10 @@ Splits must clear a positive gain after the gamma penalty and respect the
 minimum child hessian mass. Everything is deterministic: ties resolve to the
 lowest feature index, then the lowest threshold.
 
+The search works on presorted columns (the exact greedy method of XGBoost,
+Chen & Guestrin 2016): each feature is stable-argsorted once per fit, and
+every node carries its rows in (value, row) order per feature. A split
+hands each child a stable partition of those orders, so no node sorts.
 The split scan itself runs on the compiled kernel when built (see
 ventureval._kernels), with a NumPy fallback producing identical models.
 """
@@ -88,44 +92,56 @@ def _leaf_weight(g_sum: float, h_sum: float, cfg: GbdtConfig) -> float:
     return -cfg.learning_rate * g_sum / (h_sum + cfg.reg_lambda)
 
 
-def _best_split(X, g, h, rows, cfg):
+def _best_split(columns, g, h, sorted_rows, cfg):
     """Scan all features for the highest-gain split of this node's rows.
 
-    Returns ``(gain, feature, threshold)`` or None. Strictly-greater
+    ``sorted_rows[f]`` holds the node's rows in (value, row) order of
+    feature ``f``. Returns ``(feature, threshold)`` or None. Strictly-greater
     comparisons keep the lowest feature index / lowest threshold on ties.
     """
     best_gain = 0.0
     best = None
-    for feature in range(X.shape[1]):
-        values = X[rows, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_values = np.ascontiguousarray(values[order])
-        sorted_g = np.ascontiguousarray(g[rows][order])
-        sorted_h = np.ascontiguousarray(h[rows][order])
+    for feature, (column, order) in enumerate(zip(columns, sorted_rows)):
+        sorted_values = column[order]
         gain, cut = _kernels.scan_split(
             sorted_values,
-            sorted_g,
-            sorted_h,
+            g[order],
+            h[order],
             cfg.reg_lambda,
             cfg.gamma,
             cfg.min_child_weight,
         )
         if cut >= 0 and gain > best_gain:
             best_gain = gain
-            best = (gain, feature, float(sorted_values[cut]))
+            best = (feature, float(sorted_values[cut]))
     return best
 
 
-def _build_node(X, g, h, rows, depth, cfg, margin_out) -> TreeNode:
-    split = _best_split(X, g, h, rows, cfg) if depth < cfg.max_depth else None
+def _build_node(columns, g, h, rows, sorted_rows, depth, cfg, margin_out) -> TreeNode:
+    """Grow the subtree over ``rows`` (ascending).
+
+    Children inherit stable partitions of the parent's per-feature orders,
+    so no node re-sorts. Children at ``max_depth`` never scan and get none.
+    """
+    split = _best_split(columns, g, h, sorted_rows, cfg) if depth < cfg.max_depth else None
     if split is None:
         weight = _leaf_weight(float(g[rows].sum()), float(h[rows].sum()), cfg)
         margin_out[rows] += weight
         return TreeNode(weight=weight)
-    _, feature, threshold = split
-    goes_left = X[rows, feature] <= threshold
-    left = _build_node(X, g, h, rows[goes_left], depth + 1, cfg, margin_out)
-    right = _build_node(X, g, h, rows[~goes_left], depth + 1, cfg, margin_out)
+    feature, threshold = split
+    goes_left = columns[feature][rows] <= threshold
+    left_sorted, right_sorted = [], []
+    if depth + 1 < cfg.max_depth:
+        for order in sorted_rows:
+            mask = columns[feature][order] <= threshold
+            left_sorted.append(order[mask])
+            right_sorted.append(order[~mask])
+    left = _build_node(
+        columns, g, h, rows[goes_left], left_sorted, depth + 1, cfg, margin_out
+    )
+    right = _build_node(
+        columns, g, h, rows[~goes_left], right_sorted, depth + 1, cfg, margin_out
+    )
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
@@ -157,6 +173,8 @@ def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     base_score = math.log(prior / (1.0 - prior))
     margin = np.full(X.shape[0], base_score, dtype=np.float64)
     rows = np.arange(X.shape[0])
+    columns = [np.ascontiguousarray(X[:, f]) for f in range(X.shape[1])]
+    sorted_rows = [np.argsort(column, kind="stable") for column in columns]
 
     trees = []
     losses = []
@@ -165,7 +183,7 @@ def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
         g = p - y
         h = p * (1.0 - p)
         tree_margin = np.zeros(X.shape[0], dtype=np.float64)
-        trees.append(_build_node(X, g, h, rows, 0, config, tree_margin))
+        trees.append(_build_node(columns, g, h, rows, sorted_rows, 0, config, tree_margin))
         margin += tree_margin
         losses.append(log_loss(y, _sigmoid(margin)))
 

@@ -57,6 +57,9 @@ TRUNCATION_MARKER = "…"
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _SPECIAL_RE = re.compile(re.escape(IM_START) + "|" + re.escape(IM_END))
+_LEAKAGE_RE = re.compile(
+    "|".join(re.escape(needle) for needle in LEAKAGE_SUBSTRINGS), re.IGNORECASE
+)
 
 
 def count_tokens(text: str) -> int:
@@ -116,8 +119,11 @@ def sanitize_text(text: str, leakage_guard: bool = True) -> str:
     label-revealing substrings."""
     text = _SPECIAL_RE.sub(" ", text)
     if leakage_guard:
-        for needle in LEAKAGE_SUBSTRINGS:
-            text = re.sub(re.escape(needle), "", text, flags=re.IGNORECASE)
+        # A removal can join its neighbours into a new match ("IPipoO"), so
+        # strip until nothing matches.
+        removed = 1
+        while removed:
+            text, removed = _LEAKAGE_RE.subn("", text)
     return " ".join(text.split())
 
 

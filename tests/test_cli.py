@@ -1,6 +1,7 @@
 """CLI pipeline: end-to-end runs, exit codes, re-runnability."""
 
 import csv
+import dataclasses
 import json
 import re
 import threading
@@ -9,8 +10,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from click.testing import CliRunner
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, GOLDEN_PROFILE
 from ventureval.cli import main
+from ventureval.features import write_profiles_jsonl
 
 runner = CliRunner()
 
@@ -162,6 +164,22 @@ def test_strict_ingest_exits_with_data_error(tmp_path):
     result = invoke("ingest", "--data-dir", str(data_dir),
                     "--out", str(tmp_path / "out"), "--strict")
     assert result.exit_code == 3
+
+
+def test_single_class_training_split_exits_with_data_error(tmp_path):
+    splits = tmp_path / "splits"
+    splits.mkdir()
+    negatives = [
+        dataclasses.replace(GOLDEN_PROFILE, org_id=f"org{i}", success=0,
+                            total_raised_usd=float(i))
+        for i in range(200)
+    ]
+    for name in ("train", "val", "test"):
+        write_profiles_jsonl(negatives, splits / f"{name}.jsonl")
+    result = invoke("train-baseline", "--splits", str(splits),
+                    "--out", str(tmp_path / "baseline"))
+    assert result.exit_code == 3
+    assert "training labels contain a single class" in result.output
 
 
 def test_lenient_ingest_collects_row_errors(tmp_path):

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR
 from ventureval.errors import DataError
@@ -27,6 +29,7 @@ from ventureval.prompts import (
     render_profile_block,
     render_prompt,
     sample_fewshot,
+    sanitize_text,
     serialize_chat,
     template_justification,
     training_manifest,
@@ -275,6 +278,59 @@ def test_leakage_guard_scrubs_prompts():
         text = serialize_chat(render_prompt(nasty, variant=variant, mode="sft")).lower()
         for banned in LEAKAGE_SUBSTRINGS:
             assert banned not in text
+
+
+def test_leakage_guard_strips_substrings_formed_by_removal():
+    assert sanitize_text("IPipoO rocket") == "rocket"
+    assert sanitize_text("acquiacquiredsition") == ""
+    assert sanitize_text("Acme acquIPOired Labs") == "Acme Labs"
+
+
+def _any_case(word):
+    flips = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
+    return flips.map(lambda up: "".join(c.upper() if u else c for c, u in zip(word, up)))
+
+
+# Banned substrings in any case, nested inside each other so that stripping
+# the inner one joins the outer one back together ("IPipoO").
+_banned = st.sampled_from(LEAKAGE_SUBSTRINGS).flatmap(_any_case)
+_nested_banned = st.recursive(
+    _banned,
+    lambda inner: st.tuples(_banned, inner, st.integers(0, 11)).map(
+        lambda t: t[0][: t[2]] + t[1] + t[0][t[2]:]
+    ),
+    max_leaves=4,
+)
+# Dotted capital I, dotless i and long s match i and s case-insensitively.
+_fragments = st.sampled_from(["\u0131", "\u0130", "\u017f", "ipo", "o", " ", IM_START, IM_END])
+guard_inputs = st.one_of(
+    st.text(),
+    st.lists(st.one_of(_nested_banned, _fragments, st.text(max_size=3)), max_size=12).map(
+        "".join
+    ),
+)
+
+
+def assert_no_banned_substring(text):
+    for banned in LEAKAGE_SUBSTRINGS:
+        assert banned not in text.lower()
+        assert re.search(re.escape(banned), text, re.IGNORECASE) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(guard_inputs)
+def test_guarded_text_contains_no_banned_substring(text):
+    assert_no_banned_substring(sanitize_text(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    guard_inputs, guard_inputs, st.sampled_from(VARIANTS), st.sampled_from(["sft", "inference"])
+)
+def test_guarded_prompt_contains_no_banned_substring(name, description, variant, mode):
+    record = render_prompt(profile(name=name, description=description),
+                           variant=variant, mode=mode)
+    assert_no_banned_substring(serialize_chat(record))
 
 
 def test_leakage_guard_can_be_disabled():
