@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import statistics
 import sys
 import time
 from datetime import date, datetime, timezone
@@ -81,6 +82,16 @@ def _stage(name):
         return wrapper
 
     return decorator
+
+
+def _latency_percentiles(outcomes) -> dict:
+    """p50/p95/p99 of per-record latency (ms), inclusive-method quantiles."""
+    values = [o.latency_ms for o in outcomes]
+    if len(values) == 1:
+        cuts = values * 99
+    else:
+        cuts = statistics.quantiles(values, n=100, method="inclusive")
+    return {f"p{q}": round(cuts[q - 1], 3) for q in (50, 95, 99)}
 
 
 def _cfg(ctx) -> config_mod.RunConfig:
@@ -406,6 +417,8 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
         ),
         seed=config_mod.derive_seed(cfg.seed, "baseline"),
     )
+    if not train:
+        raise DataError("training split is empty")
     if len({p.success for p in train}) == 1:
         raise DataError("training labels contain a single class")
     model = gbdt_mod.fit(
@@ -516,6 +529,8 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
         ]
 
     result = client_mod.run_eval(endpoint, records, audit_path=eval_dir / "audit.jsonl")
+    latency_ms = _latency_percentiles(result.outcomes)
+    attempts = sum(o.attempts for o in result.outcomes)
     _write_json(
         eval_dir / "report.json",
         {
@@ -526,6 +541,8 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
             "model": endpoint.model,
             "base_url": endpoint.base_url,
             "shots": shots,
+            "latency_ms": latency_ms,
+            "attempts": attempts,
         },
     )
     with open(eval_dir / "outcomes.jsonl", "w", encoding="utf-8") as fh:
@@ -552,6 +569,9 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
         "records": len(result.outcomes),
         "accuracy": round(result.report.accuracy, 4),
         "parse_failures": result.parse_failures,
+        "transport_failures": result.transport_failures,
+        "attempts": attempts,
+        "latency_ms": latency_ms,
     }
 
 

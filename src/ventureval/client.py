@@ -10,6 +10,7 @@ offline without touching the endpoint again.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import metrics
-from ._retry import RetryableFailure, run_with_retries
+from ._retry import post_json, run_with_retries
 from .errors import ProtocolError, TransportError
 
 PARSED = "parsed"
@@ -57,8 +58,10 @@ class EndpointConfig:
     max_in_flight: int = 4
 
     def validate(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.max_retries < 0:
@@ -105,16 +108,6 @@ class EvalResult:
     transport_failures: int = 0
 
 
-def _default_transport(url, payload, timeout_s, headers):
-    import requests
-
-    try:
-        resp = requests.post(url, json=payload, timeout=timeout_s, headers=headers)
-    except requests.RequestException as exc:
-        raise RetryableFailure(str(exc))
-    return resp.status_code, resp.text
-
-
 def chat_complete(
     endpoint: EndpointConfig,
     messages,
@@ -132,7 +125,7 @@ def chat_complete(
     endpoint.validate()
     if not messages:
         raise ValueError("messages must be non-empty")
-    transport = transport or _default_transport
+    transport = transport or post_json
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
     payload = {
         "model": endpoint.model,

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._retry import RetryableFailure, run_with_retries
+from ._retry import post_json, run_with_retries
 from .errors import DataError, ProtocolError
 
 
@@ -275,7 +275,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self.url = url
         self.timeout_s = timeout_s
         self.max_retries = max_retries
-        self._transport = transport or _requests_post
+        self._transport = transport or post_json
         self._sleep = sleep
         self._rng = rng
 
@@ -297,18 +297,3 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embedding response: {exc}")
-
-
-def _requests_post(url, payload, timeout_s):
-    import requests
-
-    try:
-        resp = requests.post(url, json=payload, timeout=timeout_s)
-    except requests.RequestException as exc:
-        raise RetryableFailure(str(exc))
-    return resp.status_code, resp.text
-
-
-def fetch_embeddings(provider: EmbeddingProvider, text: str) -> TokenEmbeddings:
-    """Fetch (or serve from cache) the per-token embeddings for ``text``."""
-    return provider.fetch(text)

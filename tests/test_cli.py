@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from conftest import CONFIG_DIR, GOLDEN_PROFILE
 from ventureval.cli import main
 from ventureval.features import write_profiles_jsonl
+from ventureval.prompts import ChatMessage, ChatRecord, emit_jsonl
 
 runner = CliRunner()
 
@@ -68,6 +69,7 @@ def oracle_server(tmp_path_factory):
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def load_labels_by_name(data_dir):
@@ -180,6 +182,89 @@ def test_single_class_training_split_exits_with_data_error(tmp_path):
                     "--out", str(tmp_path / "baseline"))
     assert result.exit_code == 3
     assert "training labels contain a single class" in result.output
+
+
+def test_empty_training_split_exits_with_data_error(tmp_path):
+    splits = tmp_path / "splits"
+    splits.mkdir()
+    write_profiles_jsonl([], splits / "train.jsonl")
+    for name in ("val", "test"):
+        write_profiles_jsonl([GOLDEN_PROFILE], splits / f"{name}.jsonl")
+    result = invoke("train-baseline", "--splits", str(splits),
+                    "--out", str(tmp_path / "baseline"))
+    assert result.exit_code == 3
+    assert "training split is empty" in result.output
+
+
+class ScriptedEvalHandler(BaseHTTPRequestHandler):
+    """Answers "Successful", or HTTP 400 when the prompt says "reject"."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        content = json.loads(self.rfile.read(length))["messages"][-1]["content"]
+        if "reject" in content:
+            status, body = 400, json.dumps({"error": "unsuccessful request"})
+        else:
+            status, body = 200, json.dumps(
+                {"choices": [{"message": {"content": "Prediction: Successful"}}]}
+            )
+        data = body.encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def write_eval_dataset(path, contents):
+    records = [
+        ChatRecord(messages=[ChatMessage("user", text)],
+                   metadata={"org_id": f"org{i}"}, label=i % 2)
+        for i, text in enumerate(contents)
+    ]
+    emit_jsonl(records, path)
+
+
+@pytest.mark.parametrize("flag,value", [("--temperature", "nan"), ("--timeout-s", "nan"),
+                                        ("--timeout-s", "inf"), ("--timeout-s", "0")])
+def test_eval_endpoint_rejects_non_finite_settings(tmp_path, flag, value):
+    dataset = tmp_path / "prompts.jsonl"
+    write_eval_dataset(dataset, ["company a"])
+    result = invoke("eval-endpoint", "--dataset", str(dataset),
+                    "--base-url", "http://127.0.0.1:9", flag, value,
+                    "--out", str(tmp_path / "eval"))
+    assert result.exit_code == 2
+    assert flag.lstrip("-").replace("-", "_") in result.output
+
+
+def test_eval_report_carries_latency_and_attempts(tmp_path):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedEvalHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    dataset = tmp_path / "prompts.jsonl"
+    write_eval_dataset(dataset, ["company a", "company b", "reject c", "company d"])
+    log = tmp_path / "run.log"
+    try:
+        run_ok("--log-file", str(log), "eval-endpoint", "--dataset", str(dataset),
+               "--base-url", f"http://127.0.0.1:{server.server_address[1]}",
+               "--out", str(tmp_path / "eval"))
+    finally:
+        server.shutdown()
+        server.server_close()
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert report["n_records"] == 4
+    assert report["attempts"] == 4
+    assert report["transport_failures"] == 1
+    latency = report["latency_ms"]
+    assert set(latency) == {"p50", "p95", "p99"}
+    assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
+    (line,) = [json.loads(x) for x in log.read_text().splitlines()]
+    assert line["stage"] == "eval-endpoint" and line["status"] == "ok"
+    assert line["attempts"] == 4
+    assert line["transport_failures"] == 1
+    assert line["latency_ms"] == latency
 
 
 def test_lenient_ingest_collects_row_errors(tmp_path):

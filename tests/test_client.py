@@ -339,3 +339,27 @@ def test_run_eval_requires_labels():
     record = ChatRecord(messages=[ChatMessage("user", "x")], metadata={"org_id": "c0"})
     with pytest.raises(ValueError):
         run_eval(ENDPOINT, [record], transport=constant_transport("x"))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+        ("temperature", -0.1),
+        ("timeout_s", float("nan")),
+        ("timeout_s", float("inf")),
+        ("timeout_s", 0.0),
+    ],
+)
+def test_endpoint_rejects_non_finite_or_out_of_range_settings(field, value):
+    endpoint = EndpointConfig(base_url="http://mock.local", model="m", **{field: value})
+    with pytest.raises(ValueError, match=field):
+        endpoint.validate()
+
+    def transport(url, payload, timeout_s, headers):
+        pytest.fail("an invalid endpoint must not send anything")
+
+    with pytest.raises(ValueError):
+        chat_complete(endpoint, [{"role": "user", "content": "hi"}],
+                      transport=transport, sleep=lambda s: None)

@@ -14,7 +14,6 @@ from ventureval.metrics import (
     TokenEmbeddings,
     apply_idf,
     confusion,
-    fetch_embeddings,
     greedy_match_score,
     idf_table,
     report,
@@ -217,10 +216,10 @@ def write_fixture(tmp_path):
 
 def test_fixture_provider_passthrough_and_cache(tmp_path):
     provider = FixtureEmbeddingProvider(write_fixture(tmp_path))
-    first = fetch_embeddings(provider, "strong funding")
+    first = provider.fetch("strong funding")
     assert first.tokens == ["strong", "funding"]
     assert np.allclose(first.vectors, np.eye(2))
-    fetch_embeddings(provider, "strong funding")
+    provider.fetch("strong funding")
     assert provider.cache_misses == 1
     assert provider.cache_hits == 1
 
