@@ -84,14 +84,30 @@ def _stage(name):
     return decorator
 
 
-def _latency_percentiles(outcomes) -> dict:
-    """p50/p95/p99 of per-record latency (ms), inclusive-method quantiles."""
-    values = [o.latency_ms for o in outcomes]
-    if len(values) == 1:
-        cuts = values * 99
+def _eval_summary(result: client_mod.EvalResult) -> dict:
+    """The scoring keys shared by eval-endpoint's and score's reports.
+
+    ``latency_ms`` holds p50/p95/p99 of per-record latency (inclusive-method
+    quantiles); ``parse_status`` counts records by parse status.
+    """
+    latencies = [o.latency_ms for o in result.outcomes]
+    if len(latencies) == 1:
+        cuts = latencies * 99
     else:
-        cuts = statistics.quantiles(values, n=100, method="inclusive")
-    return {f"p{q}": round(cuts[q - 1], 3) for q in (50, 95, 99)}
+        cuts = statistics.quantiles(latencies, n=100, method="inclusive")
+    statuses = [o.response.parse_status for o in result.outcomes]
+    return {
+        "report": result.report.to_dict(),
+        "parse_failures": result.parse_failures,
+        "transport_failures": result.transport_failures,
+        "n_records": len(result.outcomes),
+        "attempts": sum(o.attempts for o in result.outcomes),
+        "latency_ms": {f"p{q}": round(cuts[q - 1], 3) for q in (50, 95, 99)},
+        "parse_status": {
+            status: statuses.count(status)
+            for status in (client_mod.PARSED, client_mod.FALLBACK_PARSED, client_mod.UNPARSEABLE)
+        },
+    }
 
 
 def _cfg(ctx) -> config_mod.RunConfig:
@@ -529,21 +545,10 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
         ]
 
     result = client_mod.run_eval(endpoint, records, audit_path=eval_dir / "audit.jsonl")
-    latency_ms = _latency_percentiles(result.outcomes)
-    attempts = sum(o.attempts for o in result.outcomes)
+    summary = _eval_summary(result)
     _write_json(
         eval_dir / "report.json",
-        {
-            "report": result.report.to_dict(),
-            "parse_failures": result.parse_failures,
-            "transport_failures": result.transport_failures,
-            "n_records": len(result.outcomes),
-            "model": endpoint.model,
-            "base_url": endpoint.base_url,
-            "shots": shots,
-            "latency_ms": latency_ms,
-            "attempts": attempts,
-        },
+        {**summary, "model": endpoint.model, "base_url": endpoint.base_url, "shots": shots},
     )
     with open(eval_dir / "outcomes.jsonl", "w", encoding="utf-8") as fh:
         for outcome in result.outcomes:
@@ -570,8 +575,8 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
         "accuracy": round(result.report.accuracy, 4),
         "parse_failures": result.parse_failures,
         "transport_failures": result.transport_failures,
-        "attempts": attempts,
-        "latency_ms": latency_ms,
+        "attempts": summary["attempts"],
+        "latency_ms": summary["latency_ms"],
     }
 
 
@@ -597,14 +602,7 @@ def score_cmd(ctx, audit_path, dataset_path, out_path):
         if org_id is not None and record.label is not None:
             labels_by_org[org_id] = record.label
     result = client_mod.score_audit_log(audit_path, labels_by_org)
-    _write_json(
-        out_path or out_dir / "eval" / "rescore_report.json",
-        {
-            "report": result.report.to_dict(),
-            "parse_failures": result.parse_failures,
-            "n_records": len(result.outcomes),
-        },
-    )
+    _write_json(out_path or out_dir / "eval" / "rescore_report.json", _eval_summary(result))
     click.echo(result.report.format_table())
     return {
         "records": len(result.outcomes),

@@ -3,8 +3,9 @@
 Speaks the common ``POST {base_url}/chat/completions`` JSON dialect.
 Transport failures retry with exponential backoff and full jitter; runs
 evaluate records through a bounded worker pool, reassemble outcomes in
-input order, and always persist raw completions so a run can be re-scored
-offline without touching the endpoint again.
+input order, and append each raw completion to an audit log as it arrives
+so a run can be re-scored offline without touching the endpoint again.
+Live and offline runs build their report through the same scorer.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import os
 import re
 import threading
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from . import metrics
 from ._retry import post_json, run_with_retries
-from .errors import ProtocolError, TransportError
+from .errors import DataError, ProtocolError, TransportError
 
 PARSED = "parsed"
 FALLBACK_PARSED = "fallback-parsed"
@@ -58,6 +60,13 @@ class EndpointConfig:
     max_in_flight: int = 4
 
     def validate(self) -> None:
+        try:
+            url = urllib.parse.urlsplit(self.base_url)
+            url.port  # raises ValueError for a non-numeric or out-of-range port
+        except ValueError:
+            url = None
+        if not (url and url.scheme in ("http", "https") and url.hostname):
+            raise ValueError(f"base_url must be an http(s) URL with a valid host and port, got {self.base_url!r}")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
@@ -72,7 +81,7 @@ class EndpointConfig:
 class ParsedResponse:
     label: Optional[int]
     justification: Optional[str]
-    raw: str
+    raw: Optional[str]  # None when no completion arrived
     parse_status: str
 
     def to_dict(self) -> dict:
@@ -90,14 +99,22 @@ class CompletionResult:
     latency_ms: float
 
 
+# What a transport or protocol failure scores as: no label, never a guess.
+_NO_COMPLETION = ParsedResponse(label=None, justification=None, raw=None, parse_status=UNPARSEABLE)
+
+
 @dataclass(frozen=True)
 class EvalOutcome:
     org_id: str
     true_label: int
     response: ParsedResponse
-    correct: int
     latency_ms: float
     attempts: int
+    transport_error: Optional[str] = None
+
+    @property
+    def correct(self) -> int:
+        return 1 if self.response.label == self.true_label else 0
 
 
 @dataclass
@@ -189,6 +206,18 @@ def _record_payload_messages(record) -> list:
     return [{"role": m.role, "content": m.content} for m in record.messages]
 
 
+def _score(outcomes: list) -> EvalResult:
+    """The one scorer behind the live and the offline report. An outcome with
+    no label (unparseable, or no completion) counts as the wrong label."""
+    preds = [1 - o.true_label if o.response.label is None else o.response.label for o in outcomes]
+    return EvalResult(
+        outcomes=outcomes,
+        report=metrics.report(metrics.confusion(preds, [o.true_label for o in outcomes])),
+        parse_failures=sum(o.response.label is None for o in outcomes),
+        transport_failures=sum(o.transport_error is not None for o in outcomes),
+    )
+
+
 def run_eval(
     endpoint: EndpointConfig,
     records,
@@ -201,10 +230,12 @@ def run_eval(
 
     At most ``endpoint.max_in_flight`` requests are outstanding at once;
     outcomes come back in input order regardless of completion order.
-    Per-record transport failures are tallied and scored as unparseable
+    Per-record transport failures are counted and scored as unparseable
     (hence incorrect), never aborting the run. When ``audit_path`` is set,
-    one JSONL line per record persists the request, raw completion and
-    parse for offline re-scoring.
+    each record's JSONL line (request, raw completion or ``transport_error``,
+    parse, latency, attempts) is appended and flushed as the record
+    completes, so an exception or interrupt keeps every completed line.
+    Audit lines are in completion order; ``score_audit_log`` joins on org_id.
     """
     endpoint.validate()
     records = list(records)
@@ -215,11 +246,14 @@ def run_eval(
             raise ValueError("records must carry a true 0/1 label for scoring")
 
     results: list = [None] * len(records)
-    transport_failures_lock = threading.Lock()
-    transport_failures = [0]
+    audit_lock = threading.Lock()
+    stop = threading.Event()  # set on an unexpected error: start no more records
 
     def one(index: int, record) -> None:
+        if stop.is_set():
+            return
         started = time.monotonic()
+        error = None
         try:
             completion = chat_complete(
                 endpoint,
@@ -232,69 +266,52 @@ def run_eval(
             attempts = completion.attempts
             latency_ms = completion.latency_ms
         except (TransportError, ProtocolError) as exc:
-            parsed = ParsedResponse(
-                label=None,
-                justification=None,
-                raw=f"<transport failure: {exc}>",
-                parse_status=UNPARSEABLE,
-            )
+            parsed, error = _NO_COMPLETION, str(exc)
             attempts = len(getattr(exc, "attempts", []) or []) or 1
             latency_ms = (time.monotonic() - started) * 1000.0
-            with transport_failures_lock:
-                transport_failures[0] += 1
-        true_label = int(record.label)
-        correct = 1 if parsed.label == true_label else 0
-        results[index] = EvalOutcome(
+        except BaseException:
+            stop.set()
+            raise
+        outcome = results[index] = EvalOutcome(
             org_id=str(record.metadata.get("org_id", index)),
-            true_label=true_label,
+            true_label=int(record.label),
             response=parsed,
-            correct=correct,
             latency_ms=latency_ms,
             attempts=attempts,
+            transport_error=error,
         )
+        if audit is None:
+            return
+        line = json.dumps(
+            {
+                "org_id": outcome.org_id,
+                "request": _record_payload_messages(record),
+                "raw": parsed.raw,
+                "parsed": parsed.to_dict(),
+                "latency_ms": latency_ms,
+                "attempts": attempts,
+                "transport_error": error,
+            },
+            ensure_ascii=False,
+        )
+        with audit_lock:
+            audit.write(line + "\n")
+            audit.flush()
 
-    with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:
-        futures = [pool.submit(one, i, r) for i, r in enumerate(records)]
-        for future in futures:
-            future.result()
-
-    preds = []
-    labels = []
-    parse_failures = 0
-    for outcome in results:
-        labels.append(outcome.true_label)
-        if outcome.response.label is None:
-            parse_failures += 1
-            # Unparseable answers are scored as the wrong label rather than
-            # dropped, so they depress accuracy as they should.
-            preds.append(1 - outcome.true_label)
-        else:
-            preds.append(outcome.response.label)
-    eval_report = metrics.report(metrics.confusion(preds, labels))
-
-    if audit_path is not None:
-        with open(audit_path, "w", encoding="utf-8") as fh:
-            for record, outcome in zip(records, results):
-                fh.write(
-                    json.dumps(
-                        {
-                            "org_id": outcome.org_id,
-                            "request": _record_payload_messages(record),
-                            "raw": outcome.response.raw,
-                            "parsed": outcome.response.to_dict(),
-                            "latency_ms": outcome.latency_ms,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
-
-    return EvalResult(
-        outcomes=results,
-        report=eval_report,
-        parse_failures=parse_failures,
-        transport_failures=transport_failures[0],
-    )
+    audit = open(audit_path, "w", encoding="utf-8") if audit_path is not None else None
+    try:
+        with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:
+            futures = [pool.submit(one, i, r) for i, r in enumerate(records)]
+            try:
+                for future in futures:
+                    future.result()
+            except BaseException:
+                stop.set()  # e.g. Ctrl-C: let in-flight records finish and log
+                raise
+    finally:
+        if audit is not None:
+            audit.close()
+    return _score(results)
 
 
 def score_audit_log(audit_path, labels_by_org) -> EvalResult:
@@ -302,42 +319,33 @@ def score_audit_log(audit_path, labels_by_org) -> EvalResult:
 
     ``labels_by_org`` maps org_id -> true 0/1 label (e.g. from the dataset
     JSONL the run was built from). Raw completions are re-parsed, so parser
-    improvements apply retroactively.
+    improvements apply retroactively; a line's ``transport_error`` is taken
+    as is. A malformed or empty audit, or an org_id without a label, raises
+    DataError naming the file and line.
     """
     outcomes = []
-    preds, labels = [], []
-    parse_failures = 0
     with open(audit_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            entry = json.loads(line)
-            org_id = entry["org_id"]
+            try:
+                entry = json.loads(line)
+                org_id = entry["org_id"]
+            except (json.JSONDecodeError, TypeError, KeyError):
+                raise DataError(f"{audit_path}:{lineno}: not a JSON audit object with an org_id")
             if org_id not in labels_by_org:
-                raise ValueError(f"no label for org_id {org_id!r} in the dataset")
-            true_label = int(labels_by_org[org_id])
-            parsed = parse_response(entry["raw"])
-            if parsed.label is None:
-                parse_failures += 1
-                preds.append(1 - true_label)
-            else:
-                preds.append(parsed.label)
-            labels.append(true_label)
+                raise DataError(f"{audit_path}:{lineno}: no label for org_id {org_id!r} in the dataset")
+            error = entry.get("transport_error")
             outcomes.append(
                 EvalOutcome(
                     org_id=org_id,
-                    true_label=true_label,
-                    response=parsed,
-                    correct=1 if parsed.label == true_label else 0,
+                    true_label=int(labels_by_org[org_id]),
+                    response=_NO_COMPLETION if error is not None else parse_response(entry["raw"]),
                     latency_ms=float(entry.get("latency_ms", 0.0)),
-                    attempts=0,
+                    attempts=int(entry.get("attempts", 0)),
+                    transport_error=error,
                 )
             )
     if not outcomes:
-        raise ValueError(f"audit log {audit_path} is empty")
-    return EvalResult(
-        outcomes=outcomes,
-        report=metrics.report(metrics.confusion(preds, labels)),
-        parse_failures=parse_failures,
-    )
+        raise DataError(f"audit log {audit_path} is empty")
+    return _score(outcomes)

@@ -64,12 +64,6 @@ class RunConfig:
     baseline_gamma: float = 0.0
     baseline_min_child_weight: float = 1.0
 
-    def split_ratios(self) -> tuple:
-        parts = [p for p in self.ratios.split(",") if p.strip()]
-        if len(parts) != 3:
-            raise ValueError(f"ratios must be three comma-separated numbers: {self.ratios!r}")
-        return tuple(float(p) for p in parts)
-
 
 _KEY_ALIASES = {
     "endpoint.base_url": "endpoint_base_url",

@@ -88,19 +88,22 @@ class RowError:
     reason: str
 
 
-def parse_kv_file(path) -> dict:
-    """Parse a flat ``key = value`` text file ('#' comments, blank lines ok)."""
+def parse_kv_text(text: str, source) -> dict:
+    """Parse flat ``key = value`` text ('#' comments, blank lines ok); errors name ``source``."""
     out = {}
-    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise DataError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def parse_kv_file(path) -> dict:
+    return parse_kv_text(Path(path).read_text(encoding="utf-8"), path)
 
 
 def parse_mapping(flat: dict) -> dict:
@@ -124,19 +127,8 @@ def load_mapping_file(path) -> dict:
 
 def default_mapping() -> dict:
     """The checked-in mapping shipped with the package."""
-    text = (
-        resources.files("ventureval")
-        .joinpath("data/default_mapping.txt")
-        .read_text(encoding="utf-8")
-    )
-    flat = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, value = line.split("=", 1)
-        flat[key.strip()] = value.strip()
-    return parse_mapping(flat)
+    path = resources.files("ventureval").joinpath("data/default_mapping.txt")
+    return parse_mapping(parse_kv_text(path.read_text(encoding="utf-8"), path))
 
 
 def identity_mapping() -> dict:

@@ -127,8 +127,7 @@ def test_full_pipeline_with_oracle_endpoint(tmp_path, oracle_server):
     run_ok(*base, "score", "--audit", str(out_dir / "eval" / "audit.jsonl"),
            "--dataset", str(out_dir / "test_prompts.jsonl"),
            "--out", str(out_dir / "eval" / "rescore.json"))
-    rescore = json.loads((out_dir / "eval" / "rescore.json").read_text())
-    assert rescore["report"] == report["report"]
+    assert_rescore_matches(out_dir / "eval" / "report.json", out_dir / "eval" / "rescore.json")
 
     # structured log lines: one JSON object per completed stage
     stages = [json.loads(line)["stage"] for line in log.read_text().splitlines()]
@@ -197,16 +196,28 @@ def test_empty_training_split_exits_with_data_error(tmp_path):
 
 
 class ScriptedEvalHandler(BaseHTTPRequestHandler):
-    """Answers "Successful", or HTTP 400 when the prompt says "reject"."""
+    """Answers by the prompt's first word: "reject" gets HTTP 400 with a label
+    word in the body, "fallback" a fallback-grammar answer, "garbled" an
+    unparseable one, "malformed" a 200 that is not JSON, and "flaky" a 503
+    on first sight; anything else gets "Prediction: Successful"."""
+
+    seen = set()
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         content = json.loads(self.rfile.read(length))["messages"][-1]["content"]
-        if "reject" in content:
+        answers = {"fallback": "looks unsuccessful", "garbled": "no idea at all"}
+        kind = content.split()[0]
+        if kind == "reject":
             status, body = 400, json.dumps({"error": "unsuccessful request"})
+        elif kind == "malformed":
+            status, body = 200, "<html>oops</html>"
+        elif kind == "flaky" and content not in self.seen:
+            self.seen.add(content)
+            status, body = 503, "busy"
         else:
             status, body = 200, json.dumps(
-                {"choices": [{"message": {"content": "Prediction: Successful"}}]}
+                {"choices": [{"message": {"content": answers.get(kind, "Prediction: Successful")}}]}
             )
         data = body.encode()
         self.send_response(status)
@@ -229,7 +240,9 @@ def write_eval_dataset(path, contents):
 
 
 @pytest.mark.parametrize("flag,value", [("--temperature", "nan"), ("--timeout-s", "nan"),
-                                        ("--timeout-s", "inf"), ("--timeout-s", "0")])
+                                        ("--timeout-s", "inf"), ("--timeout-s", "0"),
+                                        ("--base-url", "http://127.0.0.1:notaport"),
+                                        ("--base-url", "http://127.0.0.1:99999")])
 def test_eval_endpoint_rejects_non_finite_settings(tmp_path, flag, value):
     dataset = tmp_path / "prompts.jsonl"
     write_eval_dataset(dataset, ["company a"])
@@ -265,6 +278,78 @@ def test_eval_report_carries_latency_and_attempts(tmp_path):
     assert line["attempts"] == 4
     assert line["transport_failures"] == 1
     assert line["latency_ms"] == latency
+
+
+SHARED_REPORT_KEYS = {"report", "parse_failures", "transport_failures", "n_records",
+                      "attempts", "latency_ms", "parse_status"}
+
+
+def assert_rescore_matches(report_path, rescore_path):
+    report = json.loads(report_path.read_text())
+    rescore = json.loads(rescore_path.read_text())
+    assert set(rescore) == SHARED_REPORT_KEYS
+    assert set(report) == SHARED_REPORT_KEYS | {"model", "base_url", "shots"}
+    assert rescore == {key: report[key] for key in SHARED_REPORT_KEYS}
+    return report
+
+
+@pytest.mark.parametrize(
+    "contents,exit_code",
+    [
+        (["company a", "company b", "company c", "company d"], 0),
+        (["flaky a", "company b", "flaky c", "company d"], 0),
+        (["company a", "reject b", "fallback c", "garbled d", "flaky e", "malformed f"], 0),
+        (["reject a", "reject b", "reject c", "reject d"], 4),
+    ],
+)
+def test_score_reproduces_eval_report(tmp_path, contents, exit_code):
+    ScriptedEvalHandler.seen = set()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedEvalHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    dataset = tmp_path / "prompts.jsonl"
+    write_eval_dataset(dataset, contents)
+    eval_dir = tmp_path / "eval"
+    try:
+        result = invoke("eval-endpoint", "--dataset", str(dataset), "--max-in-flight", "2",
+                        "--base-url", f"http://127.0.0.1:{server.server_address[1]}",
+                        "--out", str(eval_dir))
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert result.exit_code == exit_code, result.output
+    run_ok("score", "--audit", str(eval_dir / "audit.jsonl"), "--dataset", str(dataset),
+           "--out", str(eval_dir / "rescore_report.json"))
+    report = assert_rescore_matches(eval_dir / "report.json", eval_dir / "rescore_report.json")
+    assert report["n_records"] == len(contents)
+    assert sum(report["parse_status"].values()) == len(contents)
+    assert report["attempts"] == len(contents) + sum(c.startswith("flaky") for c in contents)
+    failed = sum(c.split()[0] in ("reject", "malformed") for c in contents)
+    assert report["transport_failures"] == failed
+    if exit_code == 4:  # every request was answered 400 with a label word in its body
+        assert report["report"]["accuracy"] == 0.0
+        assert report["parse_failures"] == len(contents)
+
+
+@pytest.mark.parametrize(
+    "audit,message",
+    [
+        ('{"org_id": "org7", "raw": "Prediction: Successful"}\n', "audit.jsonl:1: no label"),
+        ("", "is empty"),
+        ("\n\n", "is empty"),
+        ('{"org_id": "org0", "raw": "x"}\n["org0"]\n', "audit.jsonl:2: not a JSON audit object"),
+        ("Prediction: Successful\n", "audit.jsonl:1: not a JSON audit object"),
+        ('{"raw": "Prediction: Successful"}\n', "audit.jsonl:1: not a JSON audit object"),
+    ],
+)
+def test_score_data_faults_exit_with_data_error(tmp_path, audit, message):
+    dataset = tmp_path / "prompts.jsonl"
+    write_eval_dataset(dataset, ["company a"])
+    audit_path = tmp_path / "audit.jsonl"
+    audit_path.write_text(audit, encoding="utf-8")
+    result = invoke("score", "--audit", str(audit_path), "--dataset", str(dataset),
+                    "--out", str(tmp_path / "rescore.json"))
+    assert result.exit_code == 3
+    assert message in result.output
 
 
 def test_lenient_ingest_collects_row_errors(tmp_path):

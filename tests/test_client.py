@@ -2,10 +2,15 @@
 
 import json
 import random
+import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ventureval.client import (
     FALLBACK_PARSED,
@@ -350,10 +355,16 @@ def test_run_eval_requires_labels():
         ("timeout_s", float("nan")),
         ("timeout_s", float("inf")),
         ("timeout_s", 0.0),
+        ("base_url", "http://127.0.0.1:notaport"),
+        ("base_url", "http://127.0.0.1:99999"),
+        ("base_url", "ftp://mock.local/v1"),
+        ("base_url", "mock.local/v1"),
+        ("base_url", "http:///v1"),
+        ("base_url", "http://[::1/v1"),
     ],
 )
 def test_endpoint_rejects_non_finite_or_out_of_range_settings(field, value):
-    endpoint = EndpointConfig(base_url="http://mock.local", model="m", **{field: value})
+    endpoint = EndpointConfig(**{"base_url": "http://mock.local", "model": "m", field: value})
     with pytest.raises(ValueError, match=field):
         endpoint.validate()
 
@@ -363,3 +374,170 @@ def test_endpoint_rejects_non_finite_or_out_of_range_settings(field, value):
     with pytest.raises(ValueError):
         chat_complete(endpoint, [{"role": "user", "content": "hi"}],
                       transport=transport, sleep=lambda s: None)
+
+
+# ------------------------------------------------------ live == offline
+
+ANSWER_KINDS = ("primary", "fallback", "unparseable", "4xx", "flaky", "malformed")
+
+
+def scripted_transport(answers):
+    """Answers "company <i>" as ``answers[i] = (kind, label word, ...)`` says.
+
+    A 4xx body carries the label word; a flaky record gets a 503 first.
+    """
+    lock = threading.Lock()
+    seen = set()
+
+    def transport(url, payload, timeout_s, headers):
+        index = int(payload["messages"][-1]["content"].split()[-1])
+        kind, word = answers[index][:2]
+        if kind == "primary":
+            return 200, completion_body(f"Prediction: {word}\nJustification: scripted.")
+        if kind == "fallback":
+            return 200, completion_body(f"the company looks {word.lower()}")
+        if kind == "unparseable":
+            return 200, completion_body("no idea at all")
+        if kind == "4xx":
+            return 400, json.dumps({"error": {"message": f"{word.lower()} request"}})
+        if kind == "malformed":
+            return 200, "<html>oops</html>"
+        with lock:
+            first = index not in seen
+            seen.add(index)
+        return (503, "busy") if first else (200, completion_body(f"Prediction: {word}"))
+
+    return transport
+
+
+def per_org(result):
+    return {o.org_id: (o.response.parse_status, o.response.label, o.attempts) for o in result.outcomes}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    answers=st.lists(
+        st.tuples(
+            st.sampled_from(ANSWER_KINDS),
+            st.sampled_from(["Successful", "Unsuccessful"]),
+            st.integers(0, 1),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    max_in_flight=st.integers(1, 4),
+)
+def test_score_audit_log_reproduces_live_result(answers, max_in_flight):
+    endpoint = EndpointConfig(base_url="http://mock.local", model="m", max_in_flight=max_in_flight)
+    records = make_records(len(answers), labels=[label for _, _, label in answers])
+    with tempfile.TemporaryDirectory() as tmp:
+        audit_path = Path(tmp) / "audit.jsonl"
+        live = run_eval(endpoint, records, transport=scripted_transport(answers),
+                        audit_path=audit_path, sleep=lambda s: None)
+        labels = {f"c{i}": label for i, (_, _, label) in enumerate(answers)}
+        rescored = score_audit_log(audit_path, labels)
+
+    failed = [i for i, (kind, _, _) in enumerate(answers) if kind in ("4xx", "malformed")]
+    assert live.transport_failures == len(failed)
+    assert all(live.outcomes[i].response.label is None for i in failed)
+    assert [o.attempts for o in live.outcomes] == [
+        2 if kind == "flaky" else 1 for kind, _, _ in answers
+    ]
+    assert rescored.report == live.report
+    assert rescored.parse_failures == live.parse_failures
+    assert rescored.transport_failures == live.transport_failures
+    assert per_org(rescored) == per_org(live)
+    assert {o.org_id: o.latency_ms for o in rescored.outcomes} == {
+        o.org_id: o.latency_ms for o in live.outcomes
+    }
+
+
+def test_audit_line_schema(tmp_path):
+    answers = [("primary", "Successful"), ("4xx", "Successful"), ("malformed", "")]
+    audit_path = tmp_path / "audit.jsonl"
+    run_eval(ENDPOINT, make_records(3), transport=scripted_transport(answers),
+             audit_path=audit_path, sleep=lambda s: None)
+    lines = {
+        line["org_id"]: line
+        for line in map(json.loads, audit_path.read_text().splitlines())
+    }
+    assert set(lines) == {"c0", "c1", "c2"}
+    assert lines["c0"]["raw"].startswith("Prediction: Successful")
+    assert lines["c0"]["transport_error"] is None
+    assert lines["c1"]["raw"] is None
+    assert lines["c1"]["transport_error"].startswith("non-retryable HTTP status 400")
+    assert lines["c1"]["parsed"] == {
+        "label": None, "justification": None, "parse_status": UNPARSEABLE
+    }
+    assert lines["c2"]["raw"] is None
+    assert "malformed chat-completion response" in lines["c2"]["transport_error"]
+    assert all(line["attempts"] == 1 for line in lines.values())
+
+
+def test_score_reads_audit_without_transport_error_as_before(tmp_path):
+    # Audits written before transport_error existed: raw is re-parsed as is.
+    audit_path = tmp_path / "audit.jsonl"
+    audit_path.write_text(
+        json.dumps({"org_id": "c0", "raw": "Prediction: Unsuccessful", "latency_ms": 2.5})
+        + "\n"
+        + json.dumps({"org_id": "c1", "raw": "no idea"})
+        + "\n"
+    )
+    result = score_audit_log(audit_path, {"c0": 0, "c1": 1})
+    assert [(o.response.label, o.attempts, o.latency_ms) for o in result.outcomes] == [
+        (0, 0, 2.5), (None, 0, 0.0)
+    ]
+    assert result.parse_failures == 1
+    assert result.transport_failures == 0
+
+
+@pytest.mark.parametrize("crash_at", [1, 4, 7])
+def test_crash_mid_eval_keeps_completed_audit_lines(tmp_path, crash_at):
+    endpoint = EndpointConfig(base_url="http://mock.local", model="m", max_in_flight=1)
+    kinds = ["4xx", "primary", "fallback", "unparseable", "flaky"]
+    answers = [(kinds[i % len(kinds)], "Successful") for i in range(8)]
+    records = make_records(8)
+    healthy = scripted_transport(answers)
+
+    def transport(url, payload, timeout_s, headers):
+        if payload["messages"][-1]["content"] == f"company {crash_at}":
+            raise RuntimeError("endpoint client crashed")
+        return healthy(url, payload, timeout_s, headers)
+
+    audit_path = tmp_path / "audit.jsonl"
+    with pytest.raises(RuntimeError):
+        run_eval(endpoint, records, transport=transport, audit_path=audit_path,
+                 sleep=lambda s: None)
+    org_ids = [json.loads(line)["org_id"] for line in audit_path.read_text().splitlines()]
+    assert org_ids == [f"c{i}" for i in range(crash_at)]
+
+    labels = {f"c{i}": i % 2 for i in range(8)}
+    rescored = score_audit_log(audit_path, labels)
+    live = run_eval(endpoint, records[:crash_at], transport=scripted_transport(answers),
+                    sleep=lambda s: None)
+    assert per_org(rescored) == per_org(live)
+    assert rescored.report == live.report
+    assert rescored.transport_failures == live.transport_failures
+
+
+def test_concurrent_audit_writes_stay_whole_lines(tmp_path):
+    # More workers than cores and a tiny switch interval: an audit write that
+    # interleaved with another would leave a line that is not JSON.
+    endpoint = EndpointConfig(base_url="http://mock.local", model="m", max_in_flight=8)
+    kinds = ["primary", "fallback", "4xx", "flaky", "unparseable"]
+    answers = [(kinds[i % len(kinds)], "Unsuccessful") for i in range(400)]
+    audit_path = tmp_path / "audit.jsonl"
+    started = time.monotonic()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        live = run_eval(endpoint, make_records(400), transport=scripted_transport(answers),
+                        audit_path=audit_path, sleep=lambda s: None)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - started < 60
+    lines = [json.loads(line) for line in audit_path.read_text().splitlines()]
+    assert sorted(line["org_id"] for line in lines) == sorted(f"c{i}" for i in range(400))
+    rescored = score_audit_log(audit_path, {f"c{i}": i % 2 for i in range(400)})
+    assert per_org(rescored) == per_org(live)
+    assert rescored.report == live.report

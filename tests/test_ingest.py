@@ -15,6 +15,7 @@ from ventureval.ingest import (
     load_mapping_file,
     load_table,
     parse_iso_date,
+    parse_kv_text,
     write_table,
 )
 
@@ -247,3 +248,17 @@ def test_default_mapping_covers_all_tables():
     for kind, columns in LOGICAL_COLUMNS.items():
         for logical in columns:
             assert logical in mapping[kind]
+
+
+def test_default_mapping_reads_like_a_mapping_file(tmp_path):
+    from importlib import resources
+
+    shipped = resources.files("ventureval").joinpath("data/default_mapping.txt")
+    copy = write(tmp_path, "mapping.txt", shipped.read_text(encoding="utf-8"))
+    assert default_mapping() == load_mapping_file(copy)
+
+
+def test_kv_text_without_equals_names_source_and_line():
+    assert parse_kv_text("# note\n a = 1 \n\nb=x=y\n", "cfg") == {"a": "1", "b": "x=y"}
+    with pytest.raises(DataError, match=r"^cfg:2: expected 'key = value'"):
+        parse_kv_text("a = 1\nbroken\n", "cfg")
