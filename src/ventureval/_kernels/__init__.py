@@ -3,24 +3,18 @@
 The boosted-tree trainer spends nearly all of its time scanning sorted
 gradient/hessian arrays for the best split. A Cython build of that scan is
 used when available; otherwise a NumPy fallback with identical numerics
-takes over. Set VENTUREVAL_PURE_PYTHON=1 to force the fallback.
+takes over.
 """
-
-import os
 
 from . import fallback
 
-if os.environ.get("VENTUREVAL_PURE_PYTHON") == "1":
+try:
+    from . import _split as _impl
+
+    BACKEND = "compiled"
+except ImportError:
     _impl = fallback
     BACKEND = "fallback"
-else:
-    try:
-        from . import _split as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = fallback
-        BACKEND = "fallback"
 
 scan_split = _impl.scan_split
 

@@ -203,16 +203,8 @@ def ingest_cmd(ctx, data_dir, mapping_path, strict, out_dir):
     )
     ingested_dir = out_dir / "ingested"
     ingested_dir.mkdir(parents=True, exist_ok=True)
-    tables = {
-        "organizations": store.organizations,
-        "funding_rounds": store.funding_rounds,
-        "investments": store.investments,
-        "ipos": store.ipos,
-        "acquisitions": store.acquisitions,
-        "jobs": store.jobs,
-    }
-    for kind, rows in tables.items():
-        ingest_mod.write_table(rows, ingested_dir / f"{kind}.csv", kind)
+    for kind in ingest_mod.TABLE_KINDS:
+        ingest_mod.write_table(getattr(store, kind), ingested_dir / f"{kind}.csv", kind)
     n_errors = sum(len(v) for v in row_errors.values())
     _write_json(
         out_dir / "ingest_summary.json",

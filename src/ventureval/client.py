@@ -44,8 +44,13 @@ _PRIMARY_RE = re.compile(
 )
 _JUSTIFICATION_RE = re.compile(r"\bjustification\s*:\s*(.*)\Z", re.IGNORECASE | re.DOTALL)
 # Fallback scan only trusts the two canonical label words; yes/no/1/0 are
-# too common in free text outside the prediction slot.
-_FALLBACK_RE = re.compile(r"\b(unsuccessful|successful)\b", re.IGNORECASE)
+# too common in free text outside the prediction slot. A label word with a
+# negator right before it ("not successful", "isn't successful") is a denial,
+# not an answer, so it never counts.
+_FALLBACK_RE = re.compile(
+    r"(?P<negator>(?:\b(?:not|never|no)|n['’]t)\W*)?\b(?P<word>unsuccessful|successful)\b",
+    re.IGNORECASE,
+)
 
 
 @dataclass(frozen=True)
@@ -168,9 +173,9 @@ def chat_complete(
         obj = json.loads(body)
         content = obj["choices"][0]["message"]["content"]
     except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
-        raise ProtocolError(f"malformed chat-completion response: {exc}")
+        raise ProtocolError(f"malformed chat-completion response: {exc}", attempts=attempt_log)
     if not isinstance(content, str):
-        raise ProtocolError("completion content is not a string")
+        raise ProtocolError("completion content is not a string", attempts=attempt_log)
     return CompletionResult(text=content, attempts=len(attempt_log), latency_ms=latency_ms)
 
 
@@ -179,9 +184,10 @@ def parse_response(raw: str) -> ParsedResponse:
 
     Primary grammar: case-insensitive ``prediction:`` immediately followed
     by a label word (successful/unsuccessful, yes/no, 1/0), then an optional
-    ``justification:`` capturing the remainder. Fallback: the first
-    standalone canonical label word anywhere. Unparseable is a value, not
-    an error.
+    ``justification:`` capturing the remainder. Fallback: the one standalone
+    canonical label word (successful/unsuccessful) that no negator (not,
+    never, no, n't) comes right before; none, or two or more, is
+    unparseable. Unparseable is a value, not an error.
     """
     m = _PRIMARY_RE.search(raw)
     if m:
@@ -193,9 +199,9 @@ def parse_response(raw: str) -> ParsedResponse:
         return ParsedResponse(
             label=label, justification=justification, raw=raw, parse_status=PARSED
         )
-    fm = _FALLBACK_RE.search(raw)
-    if fm:
-        label = _LABEL_SYNONYMS[fm.group(1).lower()]
+    words = [fm["word"] for fm in _FALLBACK_RE.finditer(raw) if not fm["negator"]]
+    if len(words) == 1:
+        label = _LABEL_SYNONYMS[words[0].lower()]
         return ParsedResponse(
             label=label, justification=None, raw=raw, parse_status=FALLBACK_PARSED
         )
@@ -267,7 +273,7 @@ def run_eval(
             latency_ms = completion.latency_ms
         except (TransportError, ProtocolError) as exc:
             parsed, error = _NO_COMPLETION, str(exc)
-            attempts = len(getattr(exc, "attempts", []) or []) or 1
+            attempts = len(exc.attempts) or 1
             latency_ms = (time.monotonic() - started) * 1000.0
         except BaseException:
             stop.set()

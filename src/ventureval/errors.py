@@ -9,13 +9,18 @@ class DataError(Exception):
     """Input data violates a contract (malformed rows, empty classes, ...)."""
 
 
-class TransportError(Exception):
-    """An HTTP request failed after exhausting retries, or was non-retryable."""
+class _RequestFailure(Exception):
+    """A request that ended without a usable answer. ``attempts`` is the
+    retry loop's log, one entry per request sent."""
 
     def __init__(self, message, attempts=None):
         super().__init__(message)
         self.attempts = list(attempts or [])
 
 
-class ProtocolError(Exception):
+class TransportError(_RequestFailure):
+    """An HTTP request failed after exhausting retries, or was non-retryable."""
+
+
+class ProtocolError(_RequestFailure):
     """The remote endpoint answered, but not in the expected wire format."""

@@ -375,13 +375,30 @@ def write_profiles_jsonl(profiles, path) -> int:
     return count
 
 
-def read_profiles_jsonl(path):
-    profiles = []
+def read_jsonl(path, build) -> list:
+    """``build(obj)`` for each JSON object line of ``path``; blank lines are
+    skipped. A line that is not a JSON object, or whose object ``build``
+    rejects (KeyError, TypeError, ValueError), raises DataError naming the
+    file and line."""
+    out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            obj = json.loads(line)
-            profiles.append(CompanyProfile(**{name: obj[name] for name in PROFILE_FIELDS}))
-    return profiles
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not JSON: {exc}")
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+            try:
+                out.append(build(obj))
+            except KeyError as exc:
+                raise DataError(f"{path}:{lineno}: missing field {exc}")
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}")
+    return out
+
+
+def read_profiles_jsonl(path):
+    return read_jsonl(path, lambda obj: CompanyProfile(**{name: obj[name] for name in PROFILE_FIELDS}))

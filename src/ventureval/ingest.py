@@ -5,11 +5,18 @@ IPOs, acquisitions and jobs. Each loads through a logical->physical column
 mapping (see data/default_mapping.txt) so schema drift is a config change,
 not a code change. Per-row problems are collected as RowError values rather
 than aborting the load; strict mode promotes them to a DataError.
+
+SCHEMA declares each table's columns and column types once; the row types,
+the row parser in ``load_table`` and the CSV writer in ``write_table`` all
+derive from it. Adding a column means one (column, type) pair there and one
+line in the mapping file.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from importlib import resources
@@ -18,66 +25,48 @@ from typing import Optional
 
 from .errors import DataError
 
-TABLE_KINDS = (
-    "organizations",
-    "funding_rounds",
-    "investments",
-    "ipos",
-    "acquisitions",
-    "jobs",
-)
-
-LOGICAL_COLUMNS = {
-    "organizations": ("org_id", "name", "description", "founded_on", "created_at"),
-    "funding_rounds": ("round_id", "org_id", "announced_on", "raised_usd"),
-    "investments": ("round_id", "investor_id"),
-    "ipos": ("org_id", "went_public_on"),
-    "acquisitions": ("acquiree_id", "acquirer_id", "announced_on"),
-    "jobs": ("org_id", "person_id", "title"),
+# The one description of the six tables: each kind's columns in file order,
+# with the column type that parses and writes them (see _COLUMN_TYPES).
+SCHEMA = {
+    "organizations": (
+        ("org_id", "key"),
+        ("name", "text"),
+        ("description", "text"),
+        ("founded_on", "date"),
+        ("created_at", "date"),
+    ),
+    "funding_rounds": (
+        ("round_id", "key"),
+        ("org_id", "key"),
+        ("announced_on", "date"),
+        ("raised_usd", "amount"),
+    ),
+    "investments": (("round_id", "key"), ("investor_id", "key")),
+    "ipos": (("org_id", "key"), ("went_public_on", "date")),
+    "acquisitions": (("acquiree_id", "key"), ("acquirer_id", "key"), ("announced_on", "date")),
+    "jobs": (("org_id", "key"), ("person_id", "id"), ("title", "text")),
 }
 
+TABLE_KINDS = tuple(SCHEMA)
 
-@dataclass(frozen=True)
-class OrganizationRow:
-    org_id: str
-    name: str
-    description: str
-    founded_on: Optional[date]
-    created_at: Optional[date]
+LOGICAL_COLUMNS = {kind: tuple(column for column, _ in columns) for kind, columns in SCHEMA.items()}
 
+# Typed rows: immutable, constructed positionally or by column name.
+OrganizationRow = namedtuple("OrganizationRow", LOGICAL_COLUMNS["organizations"])
+FundingRoundRow = namedtuple("FundingRoundRow", LOGICAL_COLUMNS["funding_rounds"])
+InvestmentRow = namedtuple("InvestmentRow", LOGICAL_COLUMNS["investments"])
+IpoRow = namedtuple("IpoRow", LOGICAL_COLUMNS["ipos"])
+AcquisitionRow = namedtuple("AcquisitionRow", LOGICAL_COLUMNS["acquisitions"])
+JobRow = namedtuple("JobRow", LOGICAL_COLUMNS["jobs"])
 
-@dataclass(frozen=True)
-class FundingRoundRow:
-    round_id: str
-    org_id: str
-    announced_on: Optional[date]
-    raised_usd: Optional[float]
-
-
-@dataclass(frozen=True)
-class InvestmentRow:
-    round_id: str
-    investor_id: str
-
-
-@dataclass(frozen=True)
-class IpoRow:
-    org_id: str
-    went_public_on: Optional[date]
-
-
-@dataclass(frozen=True)
-class AcquisitionRow:
-    acquiree_id: str
-    acquirer_id: str
-    announced_on: Optional[date]
-
-
-@dataclass(frozen=True)
-class JobRow:
-    org_id: str
-    person_id: str
-    title: str
+ROW_TYPES = {
+    "organizations": OrganizationRow,
+    "funding_rounds": FundingRoundRow,
+    "investments": InvestmentRow,
+    "ipos": IpoRow,
+    "acquisitions": AcquisitionRow,
+    "jobs": JobRow,
+}
 
 
 @dataclass(frozen=True)
@@ -157,94 +146,65 @@ def _parse_amount(text: str) -> Optional[float]:
         value = float(text)
     except ValueError:
         raise ValueError(f"not a number: {text!r}")
-    if value != value or value < 0:
+    if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"negative or invalid amount: {text!r}")
     return value
 
 
-class _RowReader:
-    """Wraps one raw CSV row with mapped-field access that raises ValueError."""
-
-    def __init__(self, record: dict):
-        self.record = record
-
-    def text(self, logical: str) -> str:
-        return self.record[logical]
-
-    def key(self, logical: str) -> str:
-        value = self.record[logical].strip()
-        if not value:
-            raise ValueError(f"empty {logical}")
-        return value
-
-    def date(self, logical: str) -> Optional[date]:
-        return parse_iso_date(self.record[logical])
-
-    def amount(self, logical: str) -> Optional[float]:
-        return _parse_amount(self.record[logical])
+def _parse_key(text: str, column: str) -> str:
+    value = text.strip()
+    if not value:
+        raise ValueError(f"empty {column}")
+    return value
 
 
-def _parse_organization(row: _RowReader, seen: set) -> OrganizationRow:
-    org_id = row.key("org_id")
-    if org_id in seen:
-        raise ValueError(f"duplicate org_id {org_id!r}")
-    seen.add(org_id)
-    return OrganizationRow(
-        org_id=org_id,
-        name=row.text("name"),
-        description=row.text("description"),
-        founded_on=row.date("founded_on"),
-        created_at=row.date("created_at"),
-    )
-
-
-def _parse_funding_round(row: _RowReader, seen: set) -> FundingRoundRow:
-    round_id = row.key("round_id")
-    if round_id in seen:
-        raise ValueError(f"duplicate round_id {round_id!r}")
-    seen.add(round_id)
-    return FundingRoundRow(
-        round_id=round_id,
-        org_id=row.key("org_id"),
-        announced_on=row.date("announced_on"),
-        raised_usd=row.amount("raised_usd"),
-    )
-
-
-def _parse_investment(row: _RowReader, seen: set) -> InvestmentRow:
-    return InvestmentRow(round_id=row.key("round_id"), investor_id=row.key("investor_id"))
-
-
-def _parse_ipo(row: _RowReader, seen: set) -> IpoRow:
-    return IpoRow(org_id=row.key("org_id"), went_public_on=row.date("went_public_on"))
-
-
-def _parse_acquisition(row: _RowReader, seen: set) -> AcquisitionRow:
-    acquiree = row.key("acquiree_id")
-    acquirer = row.key("acquirer_id")
-    if acquiree == acquirer:
-        raise ValueError(f"acquiree equals acquirer: {acquiree!r}")
-    return AcquisitionRow(
-        acquiree_id=acquiree, acquirer_id=acquirer, announced_on=row.date("announced_on")
-    )
-
-
-def _parse_job(row: _RowReader, seen: set) -> JobRow:
-    return JobRow(
-        org_id=row.key("org_id"),
-        person_id=row.text("person_id").strip(),
-        title=row.text("title"),
-    )
-
-
-_PARSERS = {
-    "organizations": _parse_organization,
-    "funding_rounds": _parse_funding_round,
-    "investments": _parse_investment,
-    "ipos": _parse_ipo,
-    "acquisitions": _parse_acquisition,
-    "jobs": _parse_job,
+# Column type -> (parse(cell, column), format(value) or None to write the
+# value as is). Parsers raise ValueError with the reason a RowError records;
+# None is written as "".
+#   key: stripped, must not be empty      id: stripped, may be empty
+#   text: kept as is                      date: ISO date, or empty -> None
+#   amount: finite number >= 0, or empty -> None
+_COLUMN_TYPES = {
+    "key": (_parse_key, None),
+    "id": (lambda text, column: text.strip(), None),
+    "text": (lambda text, column: text, None),
+    "date": (lambda text, column: parse_iso_date(text), date.isoformat),
+    "amount": (
+        lambda text, column: _parse_amount(text),
+        lambda value: str(int(value)) if value == int(value) else repr(value),
+    ),
 }
+
+
+def _unique(values: list, seen: set, column: str) -> None:
+    if values[-1] in seen:
+        raise ValueError(f"duplicate {column} {values[-1]!r}")
+    seen.add(values[-1])
+
+
+def _not_self_acquired(values: list, seen: set, column: str) -> None:
+    if values[0] == values[1]:
+        raise ValueError(f"acquiree equals acquirer: {values[0]!r}")
+
+
+# Row rules beyond the column types, by the (table, column) they follow:
+# each runs as soon as that column has parsed, so of a row's several faults
+# the first in column order is the one reported.
+_ROW_RULES = {
+    ("organizations", "org_id"): _unique,
+    ("funding_rounds", "round_id"): _unique,
+    ("acquisitions", "acquirer_id"): _not_self_acquired,
+}
+
+
+def _physical_columns(mapping: dict, kind: str) -> list:
+    if kind not in SCHEMA:
+        raise ValueError(f"unknown table kind {kind!r}")
+    colmap = mapping[kind]
+    missing_logical = [c for c in LOGICAL_COLUMNS[kind] if c not in colmap]
+    if missing_logical:
+        raise DataError(f"{kind}: mapping lacks logical columns {missing_logical}")
+    return [colmap[c] for c in LOGICAL_COLUMNS[kind]]
 
 
 def load_table(path, kind, mapping=None, strict=False):
@@ -256,14 +216,7 @@ def load_table(path, kind, mapping=None, strict=False):
     raises DataError. Every data line ends up in exactly one of the two
     lists, in file order.
     """
-    if kind not in LOGICAL_COLUMNS:
-        raise ValueError(f"unknown table kind {kind!r}")
-    mapping = mapping or default_mapping()
-    colmap = mapping[kind]
-    missing_logical = [c for c in LOGICAL_COLUMNS[kind] if c not in colmap]
-    if missing_logical:
-        raise DataError(f"{kind}: mapping lacks logical columns {missing_logical}")
-
+    physical = _physical_columns(mapping or default_mapping(), kind)
     path = Path(path)
     with open(path, encoding="utf-8", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
@@ -271,14 +224,14 @@ def load_table(path, kind, mapping=None, strict=False):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required")
-        positions = {}
-        for logical in LOGICAL_COLUMNS[kind]:
-            physical = colmap[logical]
-            if physical not in header:
-                raise DataError(f"{path}: header lacks mapped column {physical!r}")
-            positions[logical] = header.index(physical)
+        columns = []
+        for name, (column, ctype) in zip(physical, SCHEMA[kind]):
+            if name not in header:
+                raise DataError(f"{path}: header lacks mapped column {name!r}")
+            rule = _ROW_RULES.get((kind, column))
+            columns.append((header.index(name), column, _COLUMN_TYPES[ctype][0], rule))
 
-        parser = _PARSERS[kind]
+        make_row = ROW_TYPES[kind]._make
         rows, errors = [], []
         seen_keys: set = set()
         for record in reader:
@@ -286,11 +239,12 @@ def load_table(path, kind, mapping=None, strict=False):
             if not record:
                 continue
             try:
-                values = {
-                    logical: (record[pos] if pos < len(record) else "")
-                    for logical, pos in positions.items()
-                }
-                rows.append(parser(_RowReader(values), seen_keys))
+                values = []
+                for pos, column, parse, rule in columns:
+                    values.append(parse(record[pos] if pos < len(record) else "", column))
+                    if rule is not None:
+                        rule(values, seen_keys, column)
+                rows.append(make_row(values))
             except ValueError as exc:
                 if strict:
                     raise DataError(f"{path}:{line}: {exc}")
@@ -298,53 +252,20 @@ def load_table(path, kind, mapping=None, strict=False):
     return rows, errors
 
 
-def _format_amount(value: Optional[float]) -> str:
-    if value is None:
-        return ""
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
+def write_table(rows, path, kind, mapping=None) -> None:
+    """Serialize typed rows to CSV, the inverse of ``load_table``.
 
-
-def _format_date(value: Optional[date]) -> str:
-    return value.isoformat() if value is not None else ""
-
-
-_WRITERS = {
-    "organizations": lambda r: [
-        r.org_id,
-        r.name,
-        r.description,
-        _format_date(r.founded_on),
-        _format_date(r.created_at),
-    ],
-    "funding_rounds": lambda r: [
-        r.round_id,
-        r.org_id,
-        _format_date(r.announced_on),
-        _format_amount(r.raised_usd),
-    ],
-    "investments": lambda r: [r.round_id, r.investor_id],
-    "ipos": lambda r: [r.org_id, _format_date(r.went_public_on)],
-    "acquisitions": lambda r: [
-        r.acquiree_id,
-        r.acquirer_id,
-        _format_date(r.announced_on),
-    ],
-    "jobs": lambda r: [r.org_id, r.person_id, r.title],
-}
-
-
-def write_table(rows, path, kind) -> None:
-    """Serialize typed rows back to CSV under canonical (logical) columns."""
-    if kind not in LOGICAL_COLUMNS:
-        raise ValueError(f"unknown table kind {kind!r}")
-    to_fields = _WRITERS[kind]
+    The header holds the physical names of ``mapping`` (default: the logical
+    column names, which ``identity_mapping()`` reads back).
+    """
+    header = _physical_columns(mapping or identity_mapping(), kind)
+    formats = [_COLUMN_TYPES[ctype][1] for _, ctype in SCHEMA[kind]]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(LOGICAL_COLUMNS[kind])
-        for row in rows:
-            writer.writerow(to_fields(row))
+        writer.writerow(header)
+        if any(formats):
+            rows = ([v if f is None or v is None else f(v) for f, v in zip(formats, row)] for row in rows)
+        writer.writerows(rows)
 
 
 @dataclass
@@ -454,40 +375,20 @@ def build_store(
     store.integrity = {
         "dangling": dangling,
         "total_dangling": sum(dangling.values()),
-        "row_counts": {
-            "organizations": len(store.organizations),
-            "funding_rounds": len(store.funding_rounds),
-            "investments": len(store.investments),
-            "ipos": len(store.ipos),
-            "acquisitions": len(store.acquisitions),
-            "jobs": len(store.jobs),
-        },
+        "row_counts": {kind: len(getattr(store, kind)) for kind in TABLE_KINDS},
     }
     return store
 
 
-def load_directory(data_dir, mapping=None, strict=False, filenames=None):
-    """Load all six tables from ``data_dir`` and build the store.
+def load_directory(data_dir, mapping=None, strict=False):
+    """Load all six tables from ``<data_dir>/<kind>.csv`` and build the store.
 
-    Returns ``(store, row_errors_by_kind)``. ``filenames`` overrides the
-    default ``<kind>.csv`` naming.
+    Returns ``(store, row_errors_by_kind)``.
     """
-    data_dir = Path(data_dir)
-    filenames = filenames or {kind: f"{kind}.csv" for kind in TABLE_KINDS}
     loaded, errors = {}, {}
     for kind in TABLE_KINDS:
-        path = data_dir / filenames[kind]
+        path = Path(data_dir) / f"{kind}.csv"
         if not path.exists():
             raise FileNotFoundError(f"missing input table: {path}")
-        rows, errs = load_table(path, kind, mapping=mapping, strict=strict)
-        loaded[kind] = rows
-        errors[kind] = errs
-    store = build_store(
-        organizations=loaded["organizations"],
-        funding_rounds=loaded["funding_rounds"],
-        investments=loaded["investments"],
-        ipos=loaded["ipos"],
-        acquisitions=loaded["acquisitions"],
-        jobs=loaded["jobs"],
-    )
-    return store, errors
+        loaded[kind], errors[kind] = load_table(path, kind, mapping=mapping, strict=strict)
+    return build_store(**loaded), errors

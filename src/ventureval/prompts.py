@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Optional
 
 from .errors import DataError
-from .features import CompanyProfile
+from .features import CompanyProfile, read_jsonl
 
 IM_START = "<|im_start|>"
 IM_END = "<|im_end|>"
@@ -442,13 +442,7 @@ def emit_jsonl(records, path) -> int:
 
 
 def read_records_jsonl(path):
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_dict(json.loads(line)))
-    return records
+    return read_jsonl(path, record_from_dict)
 
 
 # Fine-tuning configuration exported for any external trainer. Values are

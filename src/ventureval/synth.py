@@ -15,7 +15,6 @@ the config validator enforces this.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import LOGICAL_COLUMNS, default_mapping
+from . import ingest
 
 NOISE_MODES = ("threshold", "logistic")
 
@@ -241,6 +240,14 @@ def _realized_age_years(founded: date, reference: date) -> float:
     return (reference - founded).days / 365.25
 
 
+def _blank(rows, column, rate, rng, empty=None):
+    """Set ``column`` to ``empty`` in each row with probability ``rate``,
+    one draw per row in order; no draws when the rate is unset or 0."""
+    if not rate:
+        return rows
+    return [row._replace(**{column: empty}) if rng.random() < rate else row for row in rows]
+
+
 def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
     """Write the six CSV tables plus a ground-truth JSONL into ``out_dir``.
 
@@ -275,41 +282,40 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
         max_offset = max((reference - founded).days, 2)
         for k in range(n_rounds):
             rounds.append(
-                {
-                    "round_id": f"rnd_{i:05d}_{k:02d}",
-                    "org_id": org_id,
-                    "announced_on": founded
-                    + timedelta(days=int(rng.integers(1, max_offset))),
-                    "raised_usd": amounts[k],
-                }
+                ingest.FundingRoundRow(
+                    round_id=f"rnd_{i:05d}_{k:02d}",
+                    org_id=org_id,
+                    announced_on=founded + timedelta(days=int(rng.integers(1, max_offset))),
+                    raised_usd=amounts[k],
+                )
             )
 
         n_investors = int(rng.poisson(config.investors_lambda)) if n_rounds > 0 else 0
         for j in range(n_investors):
             investments.append(
-                {
-                    "round_id": f"rnd_{i:05d}_{j % n_rounds:02d}",
-                    "investor_id": f"inv_{i:05d}_{j:02d}",
-                }
+                ingest.InvestmentRow(
+                    round_id=f"rnd_{i:05d}_{j % n_rounds:02d}",
+                    investor_id=f"inv_{i:05d}_{j:02d}",
+                )
             )
 
         n_execs = int(rng.poisson(config.executives_lambda))
         for k in range(n_execs):
             jobs.append(
-                {
-                    "org_id": org_id,
-                    "person_id": f"per_{i:05d}_{k:02d}",
-                    "title": _EXEC_TITLES[int(rng.integers(len(_EXEC_TITLES)))],
-                }
+                ingest.JobRow(
+                    org_id=org_id,
+                    person_id=f"per_{i:05d}_{k:02d}",
+                    title=_EXEC_TITLES[int(rng.integers(len(_EXEC_TITLES)))],
+                )
             )
         n_other = int(rng.poisson(config.other_jobs_lambda))
         for k in range(n_other):
             jobs.append(
-                {
-                    "org_id": org_id,
-                    "person_id": f"per_{i:05d}_{n_execs + k:02d}",
-                    "title": _OTHER_TITLES[int(rng.integers(len(_OTHER_TITLES)))],
-                }
+                ingest.JobRow(
+                    org_id=org_id,
+                    person_id=f"per_{i:05d}_{n_execs + k:02d}",
+                    title=_OTHER_TITLES[int(rng.integers(len(_OTHER_TITLES)))],
+                )
             )
 
         sentences = [
@@ -325,13 +331,13 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
         description = " ".join(sentences)
 
         orgs.append(
-            {
-                "org_id": org_id,
-                "name": name,
-                "description": description,
-                "founded_on": founded,
-                "created_at": None,
-            }
+            ingest.OrganizationRow(
+                org_id=org_id,
+                name=name,
+                description=description,
+                founded_on=founded,
+                created_at=None,
+            )
         )
         features[i] = [
             _realized_age_years(founded, reference),
@@ -357,69 +363,39 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
         event_date = founded + timedelta(days=int(rng.integers(1, max_offset)))
         use_ipo = bool(rng.random() < 0.5) or config.n_companies < 2
         if use_ipo:
-            ipos.append({"org_id": f"org_{i:05d}", "went_public_on": event_date})
+            ipos.append(ingest.IpoRow(org_id=f"org_{i:05d}", went_public_on=event_date))
         else:
             j = int(rng.integers(config.n_companies - 1))
             if j >= i:
                 j += 1
             acquisitions.append(
-                {
-                    "acquiree_id": f"org_{i:05d}",
-                    "acquirer_id": f"org_{j:05d}",
-                    "announced_on": event_date,
-                }
+                ingest.AcquisitionRow(
+                    acquiree_id=f"org_{i:05d}",
+                    acquirer_id=f"org_{j:05d}",
+                    announced_on=event_date,
+                )
             )
 
     # Missingness last: blanking optional fields cannot change any label.
     rates = config.missing_rates
-    if rates.get("founded_on"):
-        for org in orgs:
-            if rng.random() < rates["founded_on"]:
-                org["founded_on"] = None
-    if rates.get("description"):
-        for org in orgs:
-            if rng.random() < rates["description"]:
-                org["description"] = ""
-    if rates.get("raised_usd"):
-        for row in rounds:
-            if rng.random() < rates["raised_usd"]:
-                row["raised_usd"] = None
-    if rates.get("announced_on"):
-        for row in rounds:
-            if rng.random() < rates["announced_on"]:
-                row["announced_on"] = None
+    orgs = _blank(orgs, "founded_on", rates.get("founded_on"), rng)
+    orgs = _blank(orgs, "description", rates.get("description"), rng, empty="")
+    rounds = _blank(rounds, "raised_usd", rates.get("raised_usd"), rng)
+    rounds = _blank(rounds, "announced_on", rates.get("announced_on"), rng)
 
-    mapping = default_mapping()
-
-    def physical_header(kind):
-        return [mapping[kind][logical] for logical in LOGICAL_COLUMNS[kind]]
-
-    def fmt(value):
-        if value is None:
-            return ""
-        if isinstance(value, date):
-            return value.isoformat()
-        if isinstance(value, float):
-            return str(int(value)) if value == int(value) else repr(value)
-        return str(value)
-
-    table_rows = {
-        "organizations": (orgs, ("org_id", "name", "description", "founded_on", "created_at")),
-        "funding_rounds": (rounds, ("round_id", "org_id", "announced_on", "raised_usd")),
-        "investments": (investments, ("round_id", "investor_id")),
-        "ipos": (ipos, ("org_id", "went_public_on")),
-        "acquisitions": (acquisitions, ("acquiree_id", "acquirer_id", "announced_on")),
-        "jobs": (jobs, ("org_id", "person_id", "title")),
+    tables = {
+        "organizations": orgs,
+        "funding_rounds": rounds,
+        "investments": investments,
+        "ipos": ipos,
+        "acquisitions": acquisitions,
+        "jobs": jobs,
     }
+    mapping = ingest.default_mapping()
     table_paths = {}
-    for kind, (items, fields) in table_rows.items():
-        path = out_dir / f"{kind}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(physical_header(kind))
-            for item in items:
-                writer.writerow([fmt(item[f]) for f in fields])
-        table_paths[kind] = path
+    for kind, rows in tables.items():
+        table_paths[kind] = out_dir / f"{kind}.csv"
+        ingest.write_table(rows, table_paths[kind], kind, mapping=mapping)
 
     ground_truth = [
         {

@@ -352,6 +352,52 @@ def test_score_data_faults_exit_with_data_error(tmp_path, audit, message):
     assert message in result.output
 
 
+PROFILE_LINE = dataclasses.asdict(GOLDEN_PROFILE)
+RECORD_LINE = {"messages": [{"role": "user", "content": "company a"}], "label": 1, "org_id": "org0"}
+
+
+def profile_stage_args(stage, bad, tmp_path):
+    """Arguments that make ``stage`` read ``bad`` as its profile JSONL."""
+    if stage == "train-baseline":
+        for name in ("val", "test"):
+            write_profiles_jsonl([GOLDEN_PROFILE], bad.parent / f"{name}.jsonl")
+        return ["train-baseline", "--splits", str(bad.parent), "--out", str(tmp_path / "model")]
+    out = {"stats": "--out", "split": "--out-dir", "prompts": "--out"}[stage]
+    return [stage, "--profiles", str(bad), out, str(tmp_path / "result")]
+
+
+def record_stage_args(stage, bad, tmp_path):
+    """Arguments that make ``stage`` read ``bad`` as its prompt dataset."""
+    if stage == "score":
+        audit = tmp_path / "audit.jsonl"
+        audit.write_text(json.dumps({"org_id": "org0", "raw": "Prediction: Successful"}) + "\n")
+        return ["score", "--audit", str(audit), "--dataset", str(bad), "--out", str(tmp_path / "r.json")]
+    return ["eval-endpoint", "--dataset", str(bad), "--base-url", "http://127.0.0.1:9",
+            "--out", str(tmp_path / "eval")]
+
+
+@pytest.mark.parametrize(
+    "stage,good,build_args,missing",
+    [(stage, PROFILE_LINE, profile_stage_args, "success")
+     for stage in ("stats", "split", "prompts", "train-baseline")]
+    + [(stage, RECORD_LINE, record_stage_args, "messages") for stage in ("eval-endpoint", "score")],
+)
+@pytest.mark.parametrize("fault", ["missing key", "not JSON", "not an object"])
+def test_malformed_jsonl_input_exits_with_data_error(tmp_path, stage, good, build_args, missing, fault):
+    bad_line, reason = {
+        "missing key": (json.dumps({k: v for k, v in good.items() if k != missing}),
+                        f"missing field '{missing}'"),
+        "not JSON": ('{"org_id": "org1",', "not JSON"),
+        "not an object": ('["org1"]', "expected a JSON object, got list"),
+    }[fault]
+    bad = tmp_path / "in" / "train.jsonl"
+    bad.parent.mkdir()
+    bad.write_text(json.dumps(good) + "\n" + bad_line + "\n", encoding="utf-8")
+    result = invoke(*build_args(stage, bad, tmp_path))
+    assert result.exit_code == 3, result.output
+    assert f"{bad}:2: {reason}" in result.output
+
+
 def test_lenient_ingest_collects_row_errors(tmp_path):
     data_dir = tmp_path / "data"
     run_ok("synth", "--synth-config", str(CONFIG_DIR / "synth_threshold.json"),

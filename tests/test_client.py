@@ -101,6 +101,42 @@ def test_parse_unsuccessful_not_shadowed_by_successful():
     assert parse_response("definitely unsuccessful, not successful").label == 0
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "Prediction: not successful",
+        "It could turn out successful or unsuccessful.",
+        "This company isn't successful.",
+        "never successful, by any measure",
+        "successful today, successful tomorrow",
+    ],
+)
+def test_parse_fallback_rejects_negated_or_two_label_answers(raw):
+    parsed = parse_response(raw)
+    assert (parsed.label, parsed.parse_status) == (None, UNPARSEABLE)
+
+
+FILLER_WORDS = ("the", "company", "looks", "to", "me", "nothing", "notably", "know", "snow",
+                "cannot", "successfully", "unsuccessfully", "it's", "Note:", "on", "balance")
+NEGATORS = ("not", "never", "no", "NOT", "Never", "isn't", "won't", "doesn’t")
+LABEL_WORDS = {"successful": 1, "Successful": 1, "unsuccessful": 0, "UNSUCCESSFUL": 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(FILLER_WORDS + NEGATORS + tuple(LABEL_WORDS)), max_size=12))
+def test_parse_fallback_trusts_exactly_one_label_word_without_negator(words):
+    answers = [
+        LABEL_WORDS[word]
+        for i, word in enumerate(words)
+        if word in LABEL_WORDS and (i == 0 or words[i - 1] not in NEGATORS)
+    ]
+    parsed = parse_response(" ".join(words))
+    if len(answers) == 1:
+        assert (parsed.label, parsed.parse_status) == (answers[0], FALLBACK_PARSED)
+    else:
+        assert (parsed.label, parsed.parse_status) == (None, UNPARSEABLE)
+
+
 def test_parse_fallback_ignores_digits_and_yes_no():
     # 'no'/'1'/'0' outside the prediction slot must not be treated as labels
     assert parse_response("There are 0 investors and no funding.").label is None
@@ -378,13 +414,14 @@ def test_endpoint_rejects_non_finite_or_out_of_range_settings(field, value):
 
 # ------------------------------------------------------ live == offline
 
-ANSWER_KINDS = ("primary", "fallback", "unparseable", "4xx", "flaky", "malformed")
+ANSWER_KINDS = ("primary", "fallback", "unparseable", "4xx", "flaky", "malformed", "flaky-malformed")
 
 
 def scripted_transport(answers):
     """Answers "company <i>" as ``answers[i] = (kind, label word, ...)`` says.
 
-    A 4xx body carries the label word; a flaky record gets a 503 first.
+    A 4xx body carries the label word; a flaky record gets a 503 first, and a
+    flaky-malformed one a 503 and then a 200 that is not JSON.
     """
     lock = threading.Lock()
     seen = set()
@@ -405,7 +442,11 @@ def scripted_transport(answers):
         with lock:
             first = index not in seen
             seen.add(index)
-        return (503, "busy") if first else (200, completion_body(f"Prediction: {word}"))
+        if first:
+            return 503, "busy"
+        if kind == "flaky-malformed":
+            return 200, "<html>oops</html>"
+        return 200, completion_body(f"Prediction: {word}")
 
     return transport
 
@@ -437,11 +478,12 @@ def test_score_audit_log_reproduces_live_result(answers, max_in_flight):
         labels = {f"c{i}": label for i, (_, _, label) in enumerate(answers)}
         rescored = score_audit_log(audit_path, labels)
 
-    failed = [i for i, (kind, _, _) in enumerate(answers) if kind in ("4xx", "malformed")]
+    failed = [i for i, (kind, _, _) in enumerate(answers)
+              if kind in ("4xx", "malformed", "flaky-malformed")]
     assert live.transport_failures == len(failed)
     assert all(live.outcomes[i].response.label is None for i in failed)
     assert [o.attempts for o in live.outcomes] == [
-        2 if kind == "flaky" else 1 for kind, _, _ in answers
+        2 if kind.startswith("flaky") else 1 for kind, _, _ in answers
     ]
     assert rescored.report == live.report
     assert rescored.parse_failures == live.parse_failures
@@ -453,15 +495,16 @@ def test_score_audit_log_reproduces_live_result(answers, max_in_flight):
 
 
 def test_audit_line_schema(tmp_path):
-    answers = [("primary", "Successful"), ("4xx", "Successful"), ("malformed", "")]
+    answers = [("primary", "Successful"), ("4xx", "Successful"), ("malformed", ""),
+               ("flaky-malformed", "")]
     audit_path = tmp_path / "audit.jsonl"
-    run_eval(ENDPOINT, make_records(3), transport=scripted_transport(answers),
+    run_eval(ENDPOINT, make_records(4), transport=scripted_transport(answers),
              audit_path=audit_path, sleep=lambda s: None)
     lines = {
         line["org_id"]: line
         for line in map(json.loads, audit_path.read_text().splitlines())
     }
-    assert set(lines) == {"c0", "c1", "c2"}
+    assert set(lines) == {"c0", "c1", "c2", "c3"}
     assert lines["c0"]["raw"].startswith("Prediction: Successful")
     assert lines["c0"]["transport_error"] is None
     assert lines["c1"]["raw"] is None
@@ -471,7 +514,14 @@ def test_audit_line_schema(tmp_path):
     }
     assert lines["c2"]["raw"] is None
     assert "malformed chat-completion response" in lines["c2"]["transport_error"]
-    assert all(line["attempts"] == 1 for line in lines.values())
+    # A protocol error after a retry counts every request it took.
+    assert lines["c3"]["raw"] is None
+    assert "malformed chat-completion response" in lines["c3"]["transport_error"]
+    assert {org: line["attempts"] for org, line in lines.items()} == {
+        "c0": 1, "c1": 1, "c2": 1, "c3": 2
+    }
+    rescored = score_audit_log(audit_path, {f"c{i}": i % 2 for i in range(4)})
+    assert [o.attempts for o in rescored.outcomes if o.org_id == "c3"] == [2]
 
 
 def test_score_reads_audit_without_transport_error_as_before(tmp_path):

@@ -1,12 +1,19 @@
 """Table loading, validation, round-trips and store indexing."""
 
 import random
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ventureval.errors import DataError
 from ventureval.ingest import (
+    ROW_TYPES,
+    SCHEMA,
+    TABLE_KINDS,
     FundingRoundRow,
     OrganizationRow,
     build_store,
@@ -107,6 +114,18 @@ def test_negative_amount_rejected(tmp_path):
     assert len(errors) == 1
 
 
+@pytest.mark.parametrize("amount", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_amount_is_a_row_error(tmp_path, amount):
+    path = write(
+        tmp_path,
+        "funding_rounds.csv",
+        f"uuid,org_uuid,announced_on,raised_amount_usd\nr1,c1,,{amount}\nr2,c1,,7\n",
+    )
+    rows, errors = load_table(path, "funding_rounds")
+    assert [r.round_id for r in rows] == ["r2"]
+    assert [(e.line, e.reason) for e in errors] == [(2, f"negative or invalid amount: {amount!r}")]
+
+
 def test_acquiree_equal_acquirer_rejected(tmp_path):
     path = write(
         tmp_path,
@@ -168,6 +187,42 @@ def test_round_trip_preserves_amounts(tmp_path):
     path = tmp_path / "rounds.csv"
     write_table(rows, path, "funding_rounds")
     reloaded, errors = load_table(path, "funding_rounds", mapping=identity_mapping())
+    assert errors == []
+    assert reloaded == rows
+
+
+# Cells a column type must carry through a write/load round trip: text keeps
+# commas, quotes, line breaks and outer spaces; keys and ids are stripped.
+_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n \t'), st.characters(codec="utf-8")))
+_STRIPPED = _TEXT.map(str.strip)
+CELLS = {
+    "key": _STRIPPED.filter(bool),
+    "id": _STRIPPED,
+    "text": _TEXT,
+    "date": st.none() | st.dates(),
+    "amount": st.none() | st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+}
+
+
+def table_rows(kind):
+    row = st.tuples(*(CELLS[ctype] for _, ctype in SCHEMA[kind])).map(ROW_TYPES[kind]._make)
+    if kind == "acquisitions":
+        row = row.filter(lambda r: r.acquiree_id != r.acquirer_id)
+    unique_by = (lambda r: r[0]) if kind in ("organizations", "funding_rounds") else None
+    return st.lists(row, max_size=8, unique_by=unique_by)
+
+
+@pytest.mark.parametrize("mapping", [identity_mapping(), default_mapping()],
+                         ids=["identity", "default"])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_write_then_load_gives_back_the_rows(kind, mapping, data):
+    rows = data.draw(table_rows(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.csv"
+        write_table(rows, path, kind, mapping=mapping)
+        reloaded, errors = load_table(path, kind, mapping=mapping)
     assert errors == []
     assert reloaded == rows
 
