@@ -23,14 +23,12 @@ from pathlib import Path
 
 import click
 
-from . import client as client_mod
+# The data stages need none of the modules that load NumPy (client,
+# gbdt, metrics, synth), so the commands that use those import them.
 from . import config as config_mod
 from . import features as features_mod
-from . import gbdt as gbdt_mod
 from . import ingest as ingest_mod
-from . import metrics as metrics_mod
 from . import prompts as prompts_mod
-from . import synth as synth_mod
 from .errors import DataError, ProtocolError, TransportError
 
 EXIT_DATA = 3
@@ -84,12 +82,15 @@ def _stage(name):
     return decorator
 
 
-def _eval_summary(result: client_mod.EvalResult) -> dict:
-    """The scoring keys shared by eval-endpoint's and score's reports.
+def _eval_summary(result) -> dict:
+    """The scoring keys shared by eval-endpoint's and score's reports, from
+    a ``client.EvalResult``.
 
     ``latency_ms`` holds p50/p95/p99 of per-record latency (inclusive-method
     quantiles); ``parse_status`` counts records by parse status.
     """
+    from . import client as client_mod
+
     latencies = [o.latency_ms for o in result.outcomes]
     if len(latencies) == 1:
         cuts = latencies * 99
@@ -152,6 +153,8 @@ def main(ctx, config_path, log_file):
 @_stage("synth")
 def synth_cmd(ctx, synth_config_path, out_dir, n_companies, seed):
     """Generate synthetic relational tables plus ground-truth labels."""
+    from . import synth as synth_mod
+
     cfg = _cfg(ctx)
     out_dir = Path(out_dir or cfg.data_dir)
     synth_config = synth_mod.load_config(synth_config_path)
@@ -400,6 +403,9 @@ def prompts_cmd(ctx, profiles_path, out_path, variant, mode, budget, balance,
 def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
                        learning_rate, reg_lambda, gamma, min_child_weight, threshold):
     """Train the boosted-tree baseline and report on the test split."""
+    from . import gbdt as gbdt_mod
+    from . import metrics as metrics_mod
+
     cfg = _cfg(ctx)
     out_dir = Path(cfg.out_dir)
     splits_dir = Path(splits_dir or out_dir / "splits")
@@ -485,6 +491,8 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
                       temperature, max_completion_tokens, timeout_s, max_retries,
                       max_in_flight, shots, exemplars_path, eval_dir):
     """Evaluate a chat-completion endpoint on a compiled prompt dataset."""
+    from . import client as client_mod
+
     cfg = _cfg(ctx)
     out_dir = Path(cfg.out_dir)
     dataset_path = _require_file(
@@ -580,6 +588,8 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
 @_stage("score")
 def score_cmd(ctx, audit_path, dataset_path, out_path):
     """Re-score a persisted audit log offline (no endpoint access)."""
+    from . import client as client_mod
+
     cfg = _cfg(ctx)
     out_dir = Path(cfg.out_dir)
     audit_path = _require_file(

@@ -13,11 +13,11 @@ import csv
 import json
 import random
 import re
+import statistics
+import sys
 from dataclasses import dataclass
 from datetime import date
 from typing import Optional
-
-import numpy as np
 
 from .errors import DataError
 from .ingest import CompanyStore, OrganizationRow
@@ -69,6 +69,12 @@ PROFILE_FIELDS = (
     "age_imputed",
     "raised_imputed",
 )
+
+# Every profile field but the three text ones holds a number.
+NUMERIC_PROFILE_FIELDS = tuple(
+    name for name in PROFILE_FIELDS if name not in ("org_id", "name", "description")
+)
+_FLOAT_MAX = sys.float_info.max
 
 DESC_TOKEN_BUCKETS = (0, 8, 16, 32, 64, 128, 256, 512)
 
@@ -198,11 +204,19 @@ def feature_vector(profile: CompanyProfile) -> list:
     return [float(getattr(profile, name)) for name in FEATURE_COLUMNS]
 
 
-def feature_matrix(profiles) -> np.ndarray:
+# NumPy is imported where arrays are built, so that the stages that never
+# build one do not load it.
+def feature_matrix(profiles):
+    """``float64`` array of shape ``(len(profiles), len(FEATURE_COLUMNS))``."""
+    import numpy as np
+
     return np.array([feature_vector(p) for p in profiles], dtype=np.float64)
 
 
-def label_vector(profiles) -> np.ndarray:
+def label_vector(profiles):
+    """``float64`` array of the profiles' ``success`` labels."""
+    import numpy as np
+
     return np.array([p.success for p in profiles], dtype=np.float64)
 
 
@@ -265,7 +279,7 @@ def corpus_stats(profiles, token_counter=None) -> CorpusStats:
             missing = []
         summary[name] = {
             "min": min(values) if values else 0.0,
-            "median": float(np.median(values)) if values else 0.0,
+            "median": statistics.median(values) if values else 0.0,
             "max": max(values) if values else 0.0,
             "missing_rate": (sum(missing) / n_total) if (missing and n_total) else 0.0,
         }
@@ -375,14 +389,24 @@ def write_profiles_jsonl(profiles, path) -> int:
     return count
 
 
+# surrogateescape decodes each byte that is not UTF-8 to one of these lone
+# surrogates, which a UTF-8 file never holds.
+_UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
+
+
 def read_jsonl(path, build) -> list:
     """``build(obj)`` for each JSON object line of ``path``; blank lines are
-    skipped. A line that is not a JSON object, or whose object ``build``
-    rejects (KeyError, TypeError, ValueError), raises DataError naming the
-    file and line."""
+    skipped. A line that is not UTF-8, not a JSON object, or whose object
+    ``build`` rejects (KeyError, TypeError, ValueError), raises DataError
+    naming the file and line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    # surrogateescape defers decode errors to the line that holds them.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            undecodable = not line.isascii() and _UNDECODABLE_RE.search(line)
+            if undecodable:
+                byte = ord(undecodable.group()) - 0xDC00
+                raise DataError(f"{path}:{lineno}: not UTF-8: byte 0x{byte:02x}")
             if not line.strip():
                 continue
             try:
@@ -400,5 +424,15 @@ def read_jsonl(path, build) -> list:
     return out
 
 
+def _profile_from_dict(obj: dict) -> CompanyProfile:
+    values = {name: obj[name] for name in PROFILE_FIELDS}
+    for name in NUMERIC_PROFILE_FIELDS:
+        value = values[name]
+        # type(), not isinstance: a JSON true or false is not a number here.
+        if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
+            raise ValueError(f"{name} is not a finite number: {value!r}")
+    return CompanyProfile(**values)
+
+
 def read_profiles_jsonl(path):
-    return read_jsonl(path, lambda obj: CompanyProfile(**{name: obj[name] for name in PROFILE_FIELDS}))
+    return read_jsonl(path, _profile_from_dict)

@@ -11,6 +11,7 @@ tiers, never exit events.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -67,8 +68,7 @@ def count_tokens(text: str) -> int:
     rest segments into word runs and individual punctuation marks.
 
     An approximation of model tokenizers that keeps budgeting reproducible
-    without a tokenizer dependency; swap in an external counter via the
-    ``token_counter`` arguments where exact counts matter.
+    without a tokenizer dependency.
     """
     count = 0
     pos = 0
@@ -102,8 +102,14 @@ class ChatRecord:
     metadata: dict = field(default_factory=dict)
     label: Optional[int] = None
     justification: Optional[str] = None
+    # Offset in the last user message at which the description that
+    # render_prompt wrote begins; it runs to the end of that message. None
+    # when no description was written. Only enforce_budget reads it, and it
+    # is not serialised.
+    description_start: Optional[int] = field(default=None, compare=False)
 
 
+@functools.cache
 def load_template(variant: str) -> str:
     if variant not in VARIANTS:
         raise ValueError(f"unknown prompt variant {variant!r}")
@@ -117,13 +123,15 @@ def load_template(variant: str) -> str:
 def sanitize_text(text: str, leakage_guard: bool = True) -> str:
     """Collapse whitespace, drop chat delimiters and (optionally) strip
     label-revealing substrings."""
-    text = _SPECIAL_RE.sub(" ", text)
     if leakage_guard:
         # A removal can join its neighbours into a new match ("IPipoO"), so
         # strip until nothing matches.
         removed = 1
         while removed:
             text, removed = _LEAKAGE_RE.subn("", text)
+    # After the guard, which can join a delimiter ("<|im_stipoart|>"); a
+    # space in its place joins nothing.
+    text = _SPECIAL_RE.sub(" ", text)
     return " ".join(text.split())
 
 
@@ -141,6 +149,17 @@ def render_profile_block(
     profile: CompanyProfile, include_description: bool = True, leakage_guard: bool = True
 ) -> str:
     """Field-per-line profile block, byte-deterministic for a given profile."""
+    return _render_block(profile, _description(profile, include_description, leakage_guard),
+                         leakage_guard)
+
+
+def _description(profile: CompanyProfile, include_description: bool, leakage_guard: bool) -> str:
+    return sanitize_text(profile.description, leakage_guard) if include_description else ""
+
+
+# The renderers below end with the sanitized description, when it is not
+# empty; render_prompt relies on that to record where it starts.
+def _render_block(profile: CompanyProfile, description: str, leakage_guard: bool) -> str:
     name = sanitize_text(profile.name, leakage_guard)
     lines = [
         PROFILE_BLOCK_HEADER,
@@ -154,16 +173,12 @@ def render_profile_block(
         f"Takeovers made: {profile.num_acquisitions_made}",
         f"Executives: {profile.num_executives}",
     ]
-    if include_description:
-        description = sanitize_text(profile.description, leakage_guard)
-        if description:
-            lines.append(f"Description: {description}")
+    if description:
+        lines.append(f"Description: {description}")
     return "\n".join(lines)
 
 
-def render_profile_inline(
-    profile: CompanyProfile, include_description: bool = True, leakage_guard: bool = True
-) -> str:
+def _render_inline(profile: CompanyProfile, description: str, leakage_guard: bool) -> str:
     """One-sentence profile used by the unstructured variants (V1, V2)."""
     name = sanitize_text(profile.name, leakage_guard)
     parts = (
@@ -174,10 +189,8 @@ def render_profile_inline(
         f"{profile.num_acquisitions_made} takeovers made, "
         f"{profile.num_executives} executives."
     )
-    if include_description:
-        description = sanitize_text(profile.description, leakage_guard)
-        if description:
-            parts += f" Description: {description}"
+    if description:
+        parts += f" Description: {description}"
     return parts
 
 
@@ -255,11 +268,14 @@ def render_prompt(
     if mode == "sft" and exemplars:
         raise ValueError("exemplars are only supported in inference mode")
 
-    if variant in _BLOCK_VARIANTS:
-        profile_text = render_profile_block(profile, include_description, leakage_guard)
-    else:
-        profile_text = render_profile_inline(profile, include_description, leakage_guard)
-    user_text = load_template(variant).format(profile=profile_text).rstrip("\n")
+    description = _description(profile, include_description, leakage_guard)
+    render = _render_block if variant in _BLOCK_VARIANTS else _render_inline
+    # Every template ends with its profile, so the description ends the text.
+    user_text = (
+        load_template(variant).format(profile=render(profile, description, leakage_guard))
+        .rstrip("\n")
+    )
+    description_start = len(user_text) - len(description) if description else None
 
     messages = []
     for ex in exemplars:
@@ -281,8 +297,10 @@ def render_prompt(
             metadata=metadata,
             label=profile.success,
             justification=justification,
+            description_start=description_start,
         )
-    return ChatRecord(messages=messages, metadata=metadata, label=profile.success)
+    return ChatRecord(messages=messages, metadata=metadata, label=profile.success,
+                      description_start=description_start)
 
 
 def serialize_chat(record: ChatRecord) -> str:
@@ -315,67 +333,50 @@ def parse_chat(text: str) -> list:
     return messages
 
 
-_DESCRIPTION_RE = re.compile(r"Description: (.*)$", re.MULTILINE)
-
-
-def enforce_budget(
-    record: ChatRecord, max_tokens: int = MAX_PROMPT_TOKENS, token_counter=None
-) -> ChatRecord:
+def enforce_budget(record: ChatRecord, max_tokens: int = MAX_PROMPT_TOKENS) -> ChatRecord:
     """Fit the serialized record inside the token budget.
 
-    Only the description region of the final user message is cut, rightmost
-    tokens first, with a truncation marker appended. Instructions, numeric
-    fields and delimiters are never touched; if the record still exceeds
-    the budget with the description emptied, that's an unmeetable budget
-    and a DataError.
+    Only the description that render_prompt wrote, at the end of the last
+    user message, is cut: it keeps its first ``k`` tokens plus a truncation
+    marker, with ``k`` as large as fits. Instructions, names, numeric fields
+    and delimiters are never touched; if the record still exceeds the budget
+    with the description cut to the marker alone, that's an unmeetable
+    budget and a DataError.
+
+    ``k`` is computed, not searched for. The description follows
+    ``"Description: "`` and ends its message, and the marker is one token,
+    so no token spans either edge of it: the cut record counts the tokens
+    outside the description plus ``k + 1``.
     """
-    counter = token_counter or count_tokens
-    if counter(serialize_chat(record)) <= max_tokens:
+    total = count_tokens(serialize_chat(record))
+    if total <= max_tokens:
         return record
 
+    start = record.description_start
     user_idx = max(
         (i for i, m in enumerate(record.messages) if m.role == "user"), default=None
     )
-    content = record.messages[user_idx].content if user_idx is not None else ""
-    match = _DESCRIPTION_RE.search(content) if content else None
-    if match is None:
+    if start is None or user_idx is None:
         raise DataError(
             f"record exceeds {max_tokens} tokens and has no description to truncate"
         )
-
-    description = match.group(1)
-    spans = [m.span() for m in _TOKEN_RE.finditer(description)]
-
-    def candidate(keep: int) -> ChatRecord:
-        if keep >= len(spans):
-            truncated = description
-        elif keep == 0:
-            truncated = TRUNCATION_MARKER
-        else:
-            truncated = description[: spans[keep - 1][1]] + TRUNCATION_MARKER
-        new_content = content[: match.start(1)] + truncated + content[match.end(1) :]
-        messages = list(record.messages)
-        messages[user_idx] = ChatMessage("user", new_content)
-        return ChatRecord(
-            messages=messages,
-            metadata=dict(record.metadata),
-            label=record.label,
-            justification=record.justification,
-        )
-
-    # Largest kept prefix that fits: binary search over prefix length.
-    lo, hi = 0, len(spans)
-    if counter(serialize_chat(candidate(0))) > max_tokens:
+    content = record.messages[user_idx].content
+    ends = [m.end() for m in _TOKEN_RE.finditer(content, start)]
+    keep = max_tokens - (total - len(ends)) - 1
+    if keep < 0:
         raise DataError(
             f"record exceeds {max_tokens} tokens even with an empty description"
         )
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if counter(serialize_chat(candidate(mid))) <= max_tokens:
-            lo = mid
-        else:
-            hi = mid - 1
-    return candidate(lo)
+    cut = ends[keep - 1] if keep else start
+    messages = list(record.messages)
+    messages[user_idx] = ChatMessage("user", content[:cut] + TRUNCATION_MARKER)
+    return ChatRecord(
+        messages=messages,
+        metadata=dict(record.metadata),
+        label=record.label,
+        justification=record.justification,
+        description_start=start,
+    )
 
 
 def sample_fewshot(records, k: int, seed: int):

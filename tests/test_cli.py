@@ -3,9 +3,13 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -134,6 +138,53 @@ def test_full_pipeline_with_oracle_endpoint(tmp_path, oracle_server):
     for stage in ("synth", "ingest", "features", "split", "prompts",
                   "train-baseline", "eval-endpoint", "score"):
         assert stage in stages
+
+
+SRC_DIR = Path(__file__).parent.parent / "src"
+
+# Runs the CLI on its arguments and prints, as the process exits, whether
+# NumPy was ever loaded.
+NUMPY_PROBE = """
+import atexit, sys
+atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules))
+from ventureval.cli import main
+main(prog_name="ventureval")
+"""
+
+
+def run_python(code, *args):
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_data_stages_never_load_numpy(tmp_path):
+    data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+    run_ok("synth", "--synth-config", str(CONFIG_DIR / "synth_threshold.json"),
+           "--out", str(data_dir), "--n", "60", "--seed", "5")
+    splits = out_dir / "splits"
+    for args in (
+        ["ingest", "--data-dir", data_dir, "--out", out_dir],
+        ["features", "--out", out_dir],
+        ["stats", "--profiles", out_dir / "profiles.jsonl", "--out", out_dir / "stats.json"],
+        ["split", "--profiles", out_dir / "profiles.jsonl", "--out-dir", splits, "--seed", 7],
+        ["prompts", "--profiles", splits / "train.jsonl", "--mode", "sft",
+         "--out", out_dir / "train_prompts.jsonl"],
+        ["prompts", "--profiles", splits / "test.jsonl", "--mode", "inference", "--budget", 150,
+         "--out", out_dir / "test_prompts.jsonl"],
+    ):
+        result = run_python(NUMPY_PROBE, *args)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "numpy loaded: False", args
+
+
+def test_backend_name_imports_the_kernels_when_called():
+    result = run_python(
+        "import sys, ventureval\n"
+        "print('numpy' in sys.modules, ventureval.backend_name())"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() in (["False", "compiled"], ["False", "fallback"])
 
 
 def test_features_without_ingest_is_usage_error(tmp_path):
@@ -382,20 +433,36 @@ def record_stage_args(stage, bad, tmp_path):
      for stage in ("stats", "split", "prompts", "train-baseline")]
     + [(stage, RECORD_LINE, record_stage_args, "messages") for stage in ("eval-endpoint", "score")],
 )
-@pytest.mark.parametrize("fault", ["missing key", "not JSON", "not an object"])
+@pytest.mark.parametrize("fault", ["missing key", "not JSON", "not an object", "not UTF-8"])
 def test_malformed_jsonl_input_exits_with_data_error(tmp_path, stage, good, build_args, missing, fault):
     bad_line, reason = {
-        "missing key": (json.dumps({k: v for k, v in good.items() if k != missing}),
+        "missing key": (json.dumps({k: v for k, v in good.items() if k != missing}).encode(),
                         f"missing field '{missing}'"),
-        "not JSON": ('{"org_id": "org1",', "not JSON"),
-        "not an object": ('["org1"]', "expected a JSON object, got list"),
+        "not JSON": (b'{"org_id": "org1",', "not JSON"),
+        "not an object": (b'["org1"]', "expected a JSON object, got list"),
+        "not UTF-8": (b'{"org_id": "\xc3\xa9\xff"}', "not UTF-8: byte 0xff"),
     }[fault]
     bad = tmp_path / "in" / "train.jsonl"
     bad.parent.mkdir()
-    bad.write_text(json.dumps(good) + "\n" + bad_line + "\n", encoding="utf-8")
+    bad.write_bytes(json.dumps(good).encode() + b"\n" + bad_line + b"\n")
     result = invoke(*build_args(stage, bad, tmp_path))
     assert result.exit_code == 3, result.output
     assert f"{bad}:2: {reason}" in result.output
+
+
+@pytest.mark.parametrize("stage", ["stats", "split", "prompts", "train-baseline"])
+@pytest.mark.parametrize("value,shown", [
+    ("NaN", "nan"), ("-Infinity", "-inf"), ("1e400", "inf"), ("1" + "0" * 400, "1" + "0" * 400),
+    ('"old"', "'old'"), ("true", "True"), ("null", "None"), ("[1]", "[1]"),
+], ids=["nan", "-inf", "1e400", "huge-int", "string", "bool", "null", "list"])
+def test_non_finite_profile_number_exits_with_data_error(tmp_path, stage, value, shown):
+    bad = tmp_path / "in" / "train.jsonl"
+    bad.parent.mkdir()
+    line = json.dumps({**PROFILE_LINE, "age_years": 0.0}).replace('"age_years": 0.0', f'"age_years": {value}')
+    bad.write_text(json.dumps(PROFILE_LINE) + "\n" + line + "\n", encoding="utf-8")
+    result = invoke(*profile_stage_args(stage, bad, tmp_path))
+    assert result.exit_code == 3, result.output
+    assert f"{bad}:2: age_years is not a finite number: {shown}" in result.output
 
 
 def test_lenient_ingest_collects_row_errors(tmp_path):

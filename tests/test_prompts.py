@@ -269,6 +269,70 @@ def test_budget_error_when_instructions_alone_overflow():
         enforce_budget(record, max_tokens=40)
 
 
+def test_budget_cuts_only_the_rendered_description():
+    # A name containing "Description: " is not where the description starts.
+    p = profile(name="Acme Description: Labs", description=long_description(80))
+    for variant in VARIANTS:
+        record = render_prompt(p, variant=variant, mode="inference")
+        total = count_tokens(serialize_chat(record))
+        before = record.messages[-1].content
+        start = before.index("Description: token0") + len("Description: ")
+        cut = enforce_budget(record, max_tokens=total - 60).messages[-1].content
+        assert cut == before[:start] + long_description(19) + "…"
+        with pytest.raises(DataError, match="even with an empty description"):
+            enforce_budget(record, max_tokens=total - 81)
+
+
+def reference_enforce_budget(record, max_tokens):
+    """The budget's earlier binary search over the kept prefix length, which
+    serialises and counts every candidate; the reference for the closed-form
+    cut. It finds the description where render_prompt recorded it."""
+    if count_tokens(serialize_chat(record)) <= max_tokens:
+        return record
+    user_idx = max(
+        (i for i, m in enumerate(record.messages) if m.role == "user"), default=None
+    )
+    if user_idx is None or record.description_start is None:
+        raise DataError(
+            f"record exceeds {max_tokens} tokens and has no description to truncate"
+        )
+    content = record.messages[user_idx].content
+    start = record.description_start
+    description = content[start:]
+    spans = [m.span() for m in re.finditer(r"\w+|[^\w\s]", description)]
+
+    def candidate(keep):
+        if keep >= len(spans):
+            truncated = description
+        elif keep == 0:
+            truncated = "…"
+        else:
+            truncated = description[: spans[keep - 1][1]] + "…"
+        messages = list(record.messages)
+        messages[user_idx] = ChatMessage("user", content[:start] + truncated)
+        return ChatRecord(messages, dict(record.metadata), record.label, record.justification)
+
+    lo, hi = 0, len(spans)
+    if count_tokens(serialize_chat(candidate(0))) > max_tokens:
+        raise DataError(
+            f"record exceeds {max_tokens} tokens even with an empty description"
+        )
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if count_tokens(serialize_chat(candidate(mid))) <= max_tokens:
+            lo = mid
+        else:
+            hi = mid - 1
+    return candidate(lo)
+
+
+def budget_outcome(budget_fn, record, max_tokens):
+    try:
+        return budget_fn(record, max_tokens)
+    except DataError as exc:
+        return str(exc)
+
+
 def test_leakage_guard_scrubs_prompts():
     nasty = profile(
         name="Ipo Partners",
@@ -284,6 +348,8 @@ def test_leakage_guard_strips_substrings_formed_by_removal():
     assert sanitize_text("IPipoO rocket") == "rocket"
     assert sanitize_text("acquiacquiredsition") == ""
     assert sanitize_text("Acme acquIPOired Labs") == "Acme Labs"
+    # A removal that joins a chat delimiter leaves no delimiter behind.
+    assert sanitize_text("a <|im_stipoart|> b <|im_eacquirednd|>") == "a b"
 
 
 def _any_case(word):
@@ -302,7 +368,8 @@ _nested_banned = st.recursive(
     max_leaves=4,
 )
 # Dotted capital I, dotless i and long s match i and s case-insensitively.
-_fragments = st.sampled_from(["\u0131", "\u0130", "\u017f", "ipo", "o", " ", IM_START, IM_END])
+_fragments = st.sampled_from(["\u0131", "\u0130", "\u017f", "ipo", "o", " ", IM_START, IM_END,
+                              "<|im_st", "art|>", "<|im_e", "nd|>"])
 guard_inputs = st.one_of(
     st.text(),
     st.lists(st.one_of(_nested_banned, _fragments, st.text(max_size=3)), max_size=12).map(
@@ -320,7 +387,9 @@ def assert_no_banned_substring(text):
 @settings(max_examples=300, deadline=None)
 @given(guard_inputs)
 def test_guarded_text_contains_no_banned_substring(text):
-    assert_no_banned_substring(sanitize_text(text))
+    guarded = sanitize_text(text)
+    assert_no_banned_substring(guarded)
+    assert IM_START not in guarded and IM_END not in guarded
 
 
 @settings(max_examples=100, deadline=None)
@@ -339,6 +408,51 @@ def test_leakage_guard_can_be_disabled():
         render_prompt(nasty, variant="V3", mode="inference", leakage_guard=False)
     )
     assert "IPO" in text
+
+
+_budget_fragments = st.sampled_from(
+    ["Description: ", "Description:", "…", "...", " ", "\n", ".", ",", ":", "-", "$",
+     "0", "42", "3.5", "1,000", "ipo", "IPO", "acquired", "word", "_", "é", IM_START, IM_END]
+)
+budget_text = st.one_of(
+    st.text(),
+    st.lists(
+        st.one_of(_budget_fragments, _budget_fragments, _nested_banned, st.text(max_size=4)),
+        max_size=40,
+    ).map("".join),
+)
+# Half of the names and descriptions contain "Description: ".
+labelled_text = st.one_of(budget_text, st.tuples(budget_text, budget_text).map("Description: ".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_text, labelled_text, st.sampled_from(VARIANTS), st.sampled_from(["sft", "inference"]),
+       st.booleans(), st.booleans(), st.data())
+def test_closed_form_budget_matches_search(name, description, variant, mode,
+                                           include_description, leakage_guard, data):
+    record = render_prompt(profile(name=name, description=description), variant=variant,
+                           mode=mode, include_description=include_description,
+                           leakage_guard=leakage_guard)
+    user = record.messages[0].content
+    rendered = sanitize_text(description, leakage_guard) if include_description else ""
+    if rendered:
+        assert user[record.description_start:] == rendered
+    else:
+        assert record.description_start is None
+    total = count_tokens(serialize_chat(record))
+    # From infeasible (below the tokens outside the description) to ample.
+    fixed = total - count_tokens(rendered)
+    budget = data.draw(st.one_of(st.integers(fixed - 3, total + 3), st.integers(0, total + 3)))
+
+    expected = budget_outcome(reference_enforce_budget, record, budget)
+    got = budget_outcome(enforce_budget, record, budget)
+    assert got == expected
+    if expected is record:
+        assert got is record
+    elif isinstance(got, ChatRecord):
+        assert count_tokens(serialize_chat(got)) <= budget
+        assert got.messages[0].content[: record.description_start] == user[: record.description_start]
+        assert got.messages[1:] == record.messages[1:]
 
 
 # --------------------------------------------------------------- fewshot
