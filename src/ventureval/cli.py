@@ -411,7 +411,7 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
     splits_dir = Path(splits_dir or out_dir / "splits")
     model_dir = Path(model_dir or out_dir / "baseline")
     model_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("train", "val", "test"):
+    for name in ("train", "test"):
         _require_file(splits_dir / f"{name}.jsonl", "run `ventureval split` first")
 
     train = features_mod.read_profiles_jsonl(splits_dir / "train.jsonl")

@@ -70,10 +70,10 @@ PROFILE_FIELDS = (
     "raised_imputed",
 )
 
-# Every profile field but the three text ones holds a number.
-NUMERIC_PROFILE_FIELDS = tuple(
-    name for name in PROFILE_FIELDS if name not in ("org_id", "name", "description")
-)
+# A profile holds three strings, the six FEATURE_COLUMNS numbers and five
+# 0/1 flags.
+TEXT_PROFILE_FIELDS = ("org_id", "name", "description")
+FLAG_PROFILE_FIELDS = ("had_ipo", "was_acquired", "success", "age_imputed", "raised_imputed")
 _FLOAT_MAX = sys.float_info.max
 
 DESC_TOKEN_BUCKETS = (0, 8, 16, 32, 64, 128, 256, 512)
@@ -426,11 +426,18 @@ def read_jsonl(path, build) -> list:
 
 def _profile_from_dict(obj: dict) -> CompanyProfile:
     values = {name: obj[name] for name in PROFILE_FIELDS}
-    for name in NUMERIC_PROFILE_FIELDS:
+    # type(), not isinstance: a JSON true or false is neither a number nor a flag.
+    for name in TEXT_PROFILE_FIELDS:
+        if type(values[name]) is not str:
+            raise ValueError(f"{name} is not a string: {values[name]!r}")
+    for name in FEATURE_COLUMNS:
         value = values[name]
-        # type(), not isinstance: a JSON true or false is not a number here.
         if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
             raise ValueError(f"{name} is not a finite number: {value!r}")
+    for name in FLAG_PROFILE_FIELDS:
+        value = values[name]
+        if type(value) is not int or value not in (0, 1):
+            raise ValueError(f"{name} is not 0 or 1: {value!r}")
     return CompanyProfile(**values)
 
 

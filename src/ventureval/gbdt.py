@@ -11,8 +11,7 @@ The search works on presorted columns (the exact greedy method of XGBoost,
 Chen & Guestrin 2016): each feature is stable-argsorted once per fit, and
 every node carries its rows in (value, row) order per feature. A split
 hands each child a stable partition of those orders, so no node sorts.
-The split scan itself runs on the compiled kernel when built (see
-ventureval._kernels), with a NumPy fallback producing identical models.
+The split scan itself is ventureval._kernels.scan_split.
 """
 
 from __future__ import annotations
@@ -265,7 +264,7 @@ def _node_from_dict(obj: dict) -> TreeNode:
 
 
 def to_json(model: GbdtModel) -> str:
-    """Versioned JSON serialization, identical across runs and backends."""
+    """Versioned JSON serialization, identical across runs."""
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "base_score": model.base_score,

@@ -1,54 +1,9 @@
-"""Backend equivalence: the compiled scan must match the NumPy fallback."""
+"""The split scan on hand-made nodes: no candidate cut, the minimum child
+hessian filter, and the gamma penalty."""
 
 import numpy as np
-import pytest
 
-from ventureval import _kernels, gbdt
-from ventureval._kernels import fallback
-
-compiled_available = _kernels.BACKEND == "compiled"
-
-needs_compiled = pytest.mark.skipif(
-    not compiled_available, reason="compiled kernel not built"
-)
-
-
-def random_case(rng, n):
-    values = np.sort(rng.choice(rng.normal(size=max(2, n // 2)), size=n))
-    p = rng.uniform(0.02, 0.98, size=n)
-    y = (rng.random(n) < 0.5).astype(float)
-    grad = p - y
-    hess = p * (1 - p)
-    return values, grad, hess
-
-
-@needs_compiled
-def test_scan_split_bitwise_equivalence_fuzzed():
-    rng = np.random.default_rng(123)
-    for _ in range(300):
-        n = int(rng.integers(2, 60))
-        values, grad, hess = random_case(rng, n)
-        lam = float(rng.choice([0.0, 0.5, 1.0, 3.0]))
-        gamma = float(rng.choice([0.0, 0.1, 1.0]))
-        mcw = float(rng.choice([0.0, 0.25, 1.0]))
-        got_c = _kernels.scan_split(values, grad, hess, lam, gamma, mcw)
-        got_py = fallback.scan_split(values, grad, hess, lam, gamma, mcw)
-        assert got_c[1] == got_py[1]
-        if got_c[1] >= 0:
-            assert got_c[0] == got_py[0]  # bitwise: same accumulation order
-
-
-@needs_compiled
-def test_full_models_identical_across_backends(monkeypatch):
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(300, 6))
-    y = (X[:, 1] + 0.5 * X[:, 3] > 0.2).astype(float)
-    config = gbdt.GbdtConfig(n_rounds=20)
-
-    compiled_model = gbdt.to_json(gbdt.fit(X, y, config))
-    monkeypatch.setattr(gbdt._kernels, "scan_split", fallback.scan_split)
-    fallback_model = gbdt.to_json(gbdt.fit(X, y, config))
-    assert compiled_model == fallback_model
+from ventureval import _kernels
 
 
 def test_scan_split_no_candidates():
@@ -64,9 +19,9 @@ def test_scan_split_min_child_weight_filters():
     grad = np.array([-0.5, -0.5, 0.5, 0.5])
     hess = np.array([0.25, 0.25, 0.25, 0.25])
     # each child must carry >= 0.5 hessian mass: only the middle cut survives
-    gain, cut = fallback.scan_split(values, grad, hess, 1.0, 0.0, 0.5)
+    gain, cut = _kernels.scan_split(values, grad, hess, 1.0, 0.0, 0.5)
     assert cut == 1
-    gain_all, cut_all = fallback.scan_split(values, grad, hess, 1.0, 0.0, 10.0)
+    gain_all, cut_all = _kernels.scan_split(values, grad, hess, 1.0, 0.0, 10.0)
     assert cut_all == -1 and gain_all == float("-inf")
 
 
@@ -74,6 +29,6 @@ def test_gamma_penalty_shifts_gain():
     values = np.array([1.0, 2.0, 3.0, 4.0])
     grad = np.array([-0.5, -0.5, 0.5, 0.5])
     hess = np.array([0.25, 0.25, 0.25, 0.25])
-    g0, _ = fallback.scan_split(values, grad, hess, 1.0, 0.0, 0.0)
-    g1, _ = fallback.scan_split(values, grad, hess, 1.0, 0.25, 0.0)
+    g0, _ = _kernels.scan_split(values, grad, hess, 1.0, 0.0, 0.0)
+    g1, _ = _kernels.scan_split(values, grad, hess, 1.0, 0.25, 0.0)
     assert abs((g0 - g1) - 0.25) < 1e-12

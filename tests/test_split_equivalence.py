@@ -3,8 +3,8 @@
 The references below are the trainer's previous split search, kept verbatim:
 every node argsorts each feature of its rows, and the NumPy scan evaluates
 the gain formula at every row before masking inadmissible cuts. The current
-trainer must produce byte-identical models, and the current fallback scan
-the same ``(gain, cut)``, on tie-heavy inputs.
+trainer must produce byte-identical models, and the current scan the same
+``(gain, cut)``, on tie-heavy inputs.
 """
 
 import math
@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ventureval import gbdt
-from ventureval._kernels import fallback
+from ventureval import _kernels, gbdt
 
 
 def reference_scan_split(values, grad, hess, reg_lambda, gamma, min_child_weight):
@@ -193,7 +192,7 @@ def scan_cases(draw):
 def test_cut_only_scan_matches_full_scan(case):
     values, grad, hess, params = case
     _same_scan_result(
-        fallback.scan_split(values, grad, hess, *params),
+        _kernels.scan_split(values, grad, hess, *params),
         reference_scan_split(values, grad, hess, *params),
     )
 
@@ -212,17 +211,18 @@ def test_cut_only_scan_matches_full_scan_fuzzed():
             float(rng.choice([0.0, 0.25, 1.0])),
         )
         _same_scan_result(
-            fallback.scan_split(values, grad, hess, *params),
+            _kernels.scan_split(values, grad, hess, *params),
             reference_scan_split(values, grad, hess, *params),
         )
 
 
 def test_fit_calls_the_scan_through_the_module_attribute(monkeypatch):
     calls = []
+    scan_split = _kernels.scan_split
 
     def counting_scan(*args):
         calls.append(len(args[0]))
-        return fallback.scan_split(*args)
+        return scan_split(*args)
 
     monkeypatch.setattr(gbdt._kernels, "scan_split", counting_scan)
     X = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [4.0, 1.0]])
