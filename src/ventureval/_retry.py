@@ -74,8 +74,8 @@ def run_with_retries(send, max_retries, sleep=time.sleep, rng=None):
 
     ``send`` returns ``(status, body)``; it may raise RetryableFailure for
     connection-level problems. Makes at most ``max_retries + 1`` attempts.
-    Returns ``(status, body, attempt_log)`` on success; raises TransportError
-    with the attempt log otherwise.
+    Returns ``(body, attempt_log)`` once an attempt is answered 200; raises
+    TransportError with the attempt log otherwise.
     """
     rng = rng or random.Random()
     attempt_log = []
@@ -85,11 +85,10 @@ def run_with_retries(send, max_retries, sleep=time.sleep, rng=None):
             status, body = send()
         except RetryableFailure as exc:
             attempt_log.append({"attempt": attempt, "error": str(exc)})
-            status = None
         else:
             attempt_log.append({"attempt": attempt, "status": status})
             if status == 200:
-                return status, body, attempt_log
+                return body, attempt_log
             if not _is_retryable(status):
                 raise TransportError(
                     f"non-retryable HTTP status {status}: {body[:200]}",

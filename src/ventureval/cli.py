@@ -7,12 +7,20 @@ Subcommands compose into the full flow:
 
 Each subcommand reads declared inputs and writes declared outputs under
 the run's out directory, so any stage can be re-run in isolation. Exit
-codes: 0 success, 2 usage/config problems, 3 data errors, 4 transport
-errors. Structured JSONL progress lines go to stderr (or --log-file).
+codes: 0 success; 2 a bad flag, run config or synth config, or a missing
+input; 3 a data error; 4 a transport error. Anything else exits 1 with a
+traceback, and is a bug. Structured JSONL progress lines go to stderr (or
+--log-file).
+
+An option that falls back to the run config declares that as its default
+(``_from_config``), so a flag always wins over the config file, which wins
+over the built-in defaults.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 import json
 import statistics
@@ -29,10 +37,13 @@ from . import config as config_mod
 from . import features as features_mod
 from . import ingest as ingest_mod
 from . import prompts as prompts_mod
+from .config import derive_seed
 from .errors import DataError, ProtocolError, TransportError
 
 EXIT_DATA = 3
 EXIT_TRANSPORT = 4
+
+_PATH = click.Path(path_type=Path)
 
 
 def _log(ctx, stage: str, **fields) -> None:
@@ -48,7 +59,12 @@ def _log(ctx, stage: str, **fields) -> None:
 
 
 def _stage(name):
-    """Wrap a command body: timing, structured logging, exit-code mapping."""
+    """Wrap a command body: timing, structured logging, exit-code mapping.
+
+    Usage errors (exit 2) are raised as ``click.ClickException`` by option
+    parsing, ``_require_file`` and ``_usage``, and pass through. Any other
+    exception is a bug and keeps its traceback.
+    """
 
     def decorator(fn):
         @functools.wraps(fn)
@@ -57,10 +73,6 @@ def _stage(name):
             started = time.monotonic()
             try:
                 counts = fn(ctx, *args, **kwargs) or {}
-            except click.ClickException:
-                raise
-            except (ValueError, FileNotFoundError) as exc:
-                raise click.UsageError(str(exc))
             except DataError as exc:
                 _log(ctx, name, status="error", error=str(exc))
                 click.echo(f"data error: {exc}", err=True)
@@ -80,6 +92,41 @@ def _stage(name):
         return wrapper
 
     return decorator
+
+
+@contextlib.contextmanager
+def _usage():
+    """Turn a ValueError raised while settings become objects into a usage
+    error (exit 2). Read no data inside it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix a DataError about the contents of ``path`` as a whole (too few
+    profiles, a missing class) with the file's name."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _from_config(pick):
+    """An option default taken from the run config that ``main`` loaded.
+
+    Click calls it while parsing the subcommand, after ``main`` has set
+    ``ctx.obj``, and runs the result through the option's type, so a config
+    value is checked like the flag.
+    """
+    return lambda: pick(click.get_current_context().obj["config"])
+
+
+def _in_out_dir(*parts):
+    """An option default under the run config's ``out_dir``."""
+    return _from_config(lambda c: Path(c.out_dir, *parts))
 
 
 def _eval_summary(result) -> dict:
@@ -111,13 +158,8 @@ def _eval_summary(result) -> dict:
     }
 
 
-def _cfg(ctx) -> config_mod.RunConfig:
-    return ctx.obj["config"]
-
-
-def _require_file(path, hint: str) -> Path:
-    path = Path(path)
-    if not path.exists():
+def _require_file(path: Path, hint: str) -> Path:
+    if not path.is_file():
         raise click.UsageError(f"missing input {path} ({hint})")
     return path
 
@@ -130,8 +172,8 @@ def _write_json(path, payload) -> None:
 
 
 @click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="Flat key=value run config; CLI flags take precedence.")
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+              default=None, help="Flat key=value run config; CLI flags take precedence.")
 @click.option("--log-file", type=click.Path(), default=None,
               help="Append structured JSONL progress lines here instead of stderr.")
 @click.pass_context
@@ -145,9 +187,10 @@ def main(ctx, config_path, log_file):
 
 
 @main.command("synth")
-@click.option("--synth-config", "synth_config_path", type=click.Path(exists=True),
+@click.option("--synth-config", "synth_config_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="JSON generator config.")
-@click.option("--out", "out_dir", default=None, help="Directory for the CSV tables.")
+@click.option("--out", "out_dir", type=_PATH, default=_from_config(lambda c: c.data_dir),
+              help="Directory for the CSV tables.")
 @click.option("--n", "n_companies", type=int, default=None, help="Override company count.")
 @click.option("--seed", type=int, default=None, help="Override generator seed.")
 @_stage("synth")
@@ -155,14 +198,13 @@ def synth_cmd(ctx, synth_config_path, out_dir, n_companies, seed):
     """Generate synthetic relational tables plus ground-truth labels."""
     from . import synth as synth_mod
 
-    cfg = _cfg(ctx)
-    out_dir = Path(out_dir or cfg.data_dir)
-    synth_config = synth_mod.load_config(synth_config_path)
-    if n_companies is not None:
-        synth_config.n_companies = n_companies
-    if seed is not None:
-        synth_config.seed = seed
-    synth_config.validate()
+    with _usage():
+        synth_config = synth_mod.load_config(synth_config_path)
+        if n_companies is not None:
+            synth_config.n_companies = n_companies
+        if seed is not None:
+            synth_config.seed = seed
+        synth_config.validate()
     result = synth_mod.generate(synth_config, out_dir)
     _write_json(
         out_dir / "synth_summary.json",
@@ -184,26 +226,22 @@ def synth_cmd(ctx, synth_config_path, out_dir, n_companies, seed):
 
 
 @main.command("ingest")
-@click.option("--data-dir", default=None, help="Directory holding the six CSV tables.")
-@click.option("--mapping", "mapping_path", type=click.Path(exists=True), default=None,
+@click.option("--data-dir", type=_PATH, default=_from_config(lambda c: c.data_dir),
+              help="Directory holding the six CSV tables.")
+@click.option("--mapping", "mapping_path", type=click.Path(exists=True, dir_okay=False),
+              default=_from_config(lambda c: c.mapping or None),
               help="Column mapping file (defaults to the built-in mapping).")
-@click.option("--strict", is_flag=True, default=False,
+@click.option("--strict", is_flag=True, default=_from_config(lambda c: c.strict_ingest),
               help="Promote per-row parse errors to a fatal data error.")
-@click.option("--out", "out_dir", default=None)
+@click.option("--out", "out_dir", type=_PATH, default=_from_config(lambda c: c.out_dir))
 @_stage("ingest")
 def ingest_cmd(ctx, data_dir, mapping_path, strict, out_dir):
     """Load and validate the raw tables; write canonical copies."""
-    cfg = _cfg(ctx)
-    data_dir = Path(data_dir or cfg.data_dir)
-    out_dir = Path(out_dir or cfg.out_dir)
-    mapping_path = mapping_path or (cfg.mapping or None)
-    mapping = ingest_mod.load_mapping_file(mapping_path) if mapping_path else None
     for kind in ingest_mod.TABLE_KINDS:
         _require_file(data_dir / f"{kind}.csv", "run `ventureval synth` or point --data-dir at your tables")
+    mapping = ingest_mod.load_mapping_file(mapping_path) if mapping_path else None
 
-    store, row_errors = ingest_mod.load_directory(
-        data_dir, mapping=mapping, strict=strict or cfg.strict_ingest
-    )
+    store, row_errors = ingest_mod.load_directory(data_dir, mapping=mapping, strict=strict)
     ingested_dir = out_dir / "ingested"
     ingested_dir.mkdir(parents=True, exist_ok=True)
     for kind in ingest_mod.TABLE_KINDS:
@@ -228,24 +266,26 @@ def ingest_cmd(ctx, data_dir, mapping_path, strict, out_dir):
 
 
 @main.command("features")
-@click.option("--ingested", "ingested_dir", default=None,
+@click.option("--ingested", "ingested_dir", type=_PATH, default=None,
               help="Canonical tables from `ingest` (default: <out>/ingested).")
-@click.option("--reference-date", default=None, help="Snapshot date for the age feature.")
-@click.option("--out", "out_dir", default=None)
+@click.option("--reference-date", default=_from_config(lambda c: c.reference_date),
+              help="Snapshot date for the age feature.")
+@click.option("--out", "out_dir", type=_PATH, default=_from_config(lambda c: c.out_dir))
 @_stage("features")
 def features_cmd(ctx, ingested_dir, reference_date, out_dir):
     """Derive engineered company profiles from the ingested tables."""
-    cfg = _cfg(ctx)
-    out_dir = Path(out_dir or cfg.out_dir)
-    ingested_dir = Path(ingested_dir or (out_dir / "ingested"))
+    with _usage():
+        reference = date.fromisoformat(reference_date)
+    if ingested_dir is None:
+        ingested_dir = out_dir / "ingested"
     for kind in ingest_mod.TABLE_KINDS:
         _require_file(ingested_dir / f"{kind}.csv", "run `ventureval ingest` first")
-    reference = date.fromisoformat(reference_date or cfg.reference_date)
 
     store, _ = ingest_mod.load_directory(
         ingested_dir, mapping=ingest_mod.identity_mapping()
     )
     profiles, anomalies = features_mod.derive_profiles(store, reference)
+    out_dir.mkdir(parents=True, exist_ok=True)
     features_mod.write_profiles_csv(profiles, out_dir / "profiles.csv")
     features_mod.write_profiles_jsonl(profiles, out_dir / "profiles.jsonl")
     n_positive = sum(p.success for p in profiles)
@@ -263,45 +303,38 @@ def features_cmd(ctx, ingested_dir, reference_date, out_dir):
 
 
 @main.command("stats")
-@click.option("--profiles", "profiles_path", default=None)
-@click.option("--out", "out_path", default=None)
+@click.option("--profiles", "profiles_path", type=_PATH, default=_in_out_dir("profiles.jsonl"))
+@click.option("--out", "out_path", type=_PATH, default=_in_out_dir("stats.json"))
 @_stage("stats")
 def stats_cmd(ctx, profiles_path, out_path):
     """Corpus statistics: class balance, description lengths, feature ranges."""
-    cfg = _cfg(ctx)
-    out_dir = Path(cfg.out_dir)
-    profiles_path = _require_file(
-        profiles_path or out_dir / "profiles.jsonl", "run `ventureval features` first"
-    )
+    _require_file(profiles_path, "run `ventureval features` first")
     profiles = features_mod.read_profiles_jsonl(profiles_path)
     stats = features_mod.corpus_stats(profiles)
-    _write_json(out_path or out_dir / "stats.json", stats.to_dict())
+    _write_json(out_path, stats.to_dict())
     return {"profiles": stats.n_total, "positive_ratio": round(stats.positive_ratio, 4)}
 
 
 @main.command("split")
-@click.option("--profiles", "profiles_path", default=None)
-@click.option("--out-dir", "splits_dir", default=None)
-@click.option("--ratios", default=None, help="train,val,test ratios summing to 1.")
-@click.option("--seed", type=int, default=None)
-@click.option("--stratified/--no-stratified", default=None)
+@click.option("--profiles", "profiles_path", type=_PATH, default=_in_out_dir("profiles.jsonl"))
+@click.option("--out-dir", "splits_dir", type=_PATH, default=_in_out_dir("splits"))
+@click.option("--ratios", default=_from_config(lambda c: c.ratios),
+              help="train,val,test ratios summing to 1.")
+@click.option("--seed", type=int, default=_from_config(lambda c: derive_seed(c.seed, "split")))
+@click.option("--stratified/--no-stratified", default=_from_config(lambda c: c.stratified))
 @_stage("split")
 def split_cmd(ctx, profiles_path, splits_dir, ratios, seed, stratified):
     """Partition profiles into train/val/test JSONL files."""
-    cfg = _cfg(ctx)
-    out_dir = Path(cfg.out_dir)
-    profiles_path = _require_file(
-        profiles_path or out_dir / "profiles.jsonl", "run `ventureval features` first"
-    )
-    splits_dir = Path(splits_dir or out_dir / "splits")
-    splits_dir.mkdir(parents=True, exist_ok=True)
+    with _usage():
+        spec = features_mod.SplitSpec(
+            ratios=tuple(float(p) for p in ratios.split(",")), seed=seed, stratified=stratified
+        )
+        spec.validate()
+    _require_file(profiles_path, "run `ventureval features` first")
     profiles = features_mod.read_profiles_jsonl(profiles_path)
-    spec = features_mod.SplitSpec(
-        ratios=tuple(float(p) for p in (ratios or cfg.ratios).split(",")),
-        seed=seed if seed is not None else config_mod.derive_seed(cfg.seed, "split"),
-        stratified=cfg.stratified if stratified is None else stratified,
-    )
-    train, val, test = features_mod.split_dataset(profiles, spec)
+    with _naming(profiles_path):
+        train, val, test = features_mod.split_dataset(profiles, spec)
+    splits_dir.mkdir(parents=True, exist_ok=True)
     counts = {}
     for name, part in (("train", train), ("val", val), ("test", test)):
         features_mod.write_profiles_jsonl(part, splits_dir / f"{name}.jsonl")
@@ -315,89 +348,75 @@ def split_cmd(ctx, profiles_path, splits_dir, ratios, seed, stratified):
 
 
 @main.command("prompts")
-@click.option("--profiles", "profiles_path", default=None,
+@click.option("--profiles", "profiles_path", type=_PATH, default=_in_out_dir("profiles.jsonl"),
               help="Profile JSONL to render (e.g. a split file).")
-@click.option("--out", "out_path", default=None)
-@click.option("--variant", default=None, type=click.Choice(prompts_mod.VARIANTS))
+@click.option("--out", "out_path", type=_PATH, default=_in_out_dir("prompts.jsonl"))
+@click.option("--variant", type=click.Choice(prompts_mod.VARIANTS),
+              default=_from_config(lambda c: c.variant))
 @click.option("--mode", default="sft", type=click.Choice(["sft", "inference"]))
-@click.option("--budget", type=int, default=None, help="Token budget per record.")
+@click.option("--budget", type=int, default=_from_config(lambda c: c.budget),
+              help="Token budget per record.")
 @click.option("--balance/--no-balance", default=None,
               help="Class-balance before rendering (default: on for sft).")
-@click.option("--balance-seed", type=int, default=None)
-@click.option("--fewshot-k", type=int, default=None,
+@click.option("--balance-seed", type=int,
+              default=_from_config(lambda c: derive_seed(c.seed, "balance")))
+@click.option("--fewshot-k", type=click.IntRange(min=1), default=None,
               help="Emit a balanced subset of exactly k records.")
-@click.option("--fewshot-seed", type=int, default=None)
-@click.option("--include-description/--no-include-description", default=None)
-@click.option("--leakage-guard/--no-leakage-guard", default=None)
-@click.option("--manifest", "manifest_path", default=None,
+@click.option("--fewshot-seed", type=int,
+              default=_from_config(lambda c: derive_seed(c.seed, "fewshot")))
+@click.option("--include-description/--no-include-description",
+              default=_from_config(lambda c: c.include_description))
+@click.option("--leakage-guard/--no-leakage-guard", default=_from_config(lambda c: c.leakage_guard))
+@click.option("--manifest", "manifest_path", type=_PATH, default=None,
               help="Also write the fine-tuning config manifest here.")
 @_stage("prompts")
 def prompts_cmd(ctx, profiles_path, out_path, variant, mode, budget, balance,
                 balance_seed, fewshot_k, fewshot_seed, include_description,
                 leakage_guard, manifest_path):
     """Compile profiles into chat records (supervised or inference)."""
-    cfg = _cfg(ctx)
-    out_dir = Path(cfg.out_dir)
-    profiles_path = _require_file(
-        profiles_path or out_dir / "profiles.jsonl", "run `ventureval features` first"
-    )
-    out_path = Path(out_path or out_dir / "prompts.jsonl")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    variant = variant or cfg.variant
-    budget = budget if budget is not None else cfg.budget
-    include_description = (
-        cfg.include_description if include_description is None else include_description
-    )
-    leakage_guard = cfg.leakage_guard if leakage_guard is None else leakage_guard
+    _require_file(profiles_path, "run `ventureval features` first")
     if balance is None:
         balance = mode == "sft"
 
     profiles = features_mod.read_profiles_jsonl(profiles_path)
-    if balance:
-        profiles = features_mod.balance_dataset(
-            profiles,
-            balance_seed
-            if balance_seed is not None
-            else config_mod.derive_seed(cfg.seed, "balance"),
-        )
-    records = [
-        prompts_mod.enforce_budget(
-            prompts_mod.render_prompt(
-                profile,
-                variant=variant,
-                mode=mode,
-                include_description=include_description,
-                leakage_guard=leakage_guard,
-            ),
-            max_tokens=budget,
-        )
-        for profile in profiles
-    ]
-    if fewshot_k is not None:
-        records = prompts_mod.sample_fewshot(
-            records,
-            fewshot_k,
-            fewshot_seed
-            if fewshot_seed is not None
-            else config_mod.derive_seed(cfg.seed, "fewshot"),
-        )
+    with _naming(profiles_path):
+        if balance:
+            profiles = features_mod.balance_dataset(profiles, balance_seed)
+        records = [
+            prompts_mod.enforce_budget(
+                prompts_mod.render_prompt(
+                    profile,
+                    variant=variant,
+                    mode=mode,
+                    include_description=include_description,
+                    leakage_guard=leakage_guard,
+                ),
+                max_tokens=budget,
+            )
+            for profile in profiles
+        ]
+        if fewshot_k is not None:
+            records = prompts_mod.sample_fewshot(records, fewshot_k, fewshot_seed)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     count = prompts_mod.emit_jsonl(records, out_path)
     if manifest_path or mode == "sft":
-        manifest_path = Path(manifest_path or out_path.parent / "training_manifest.json")
+        manifest_path = manifest_path or out_path.parent / "training_manifest.json"
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
         manifest_path.write_text(prompts_mod.emit_training_manifest(), encoding="utf-8")
     return {"records": count, "variant": variant, "mode": mode}
 
 
 @main.command("train-baseline")
-@click.option("--splits", "splits_dir", default=None)
-@click.option("--out", "model_dir", default=None)
-@click.option("--rounds", "n_rounds", type=int, default=None)
-@click.option("--depth", "max_depth", type=int, default=None)
-@click.option("--learning-rate", type=float, default=None)
-@click.option("--reg-lambda", type=float, default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--min-child-weight", type=float, default=None)
+@click.option("--splits", "splits_dir", type=_PATH, default=_in_out_dir("splits"))
+@click.option("--out", "model_dir", type=_PATH, default=_in_out_dir("baseline"))
+@click.option("--rounds", "n_rounds", type=int, default=_from_config(lambda c: c.baseline_n_rounds))
+@click.option("--depth", "max_depth", type=int, default=_from_config(lambda c: c.baseline_max_depth))
+@click.option("--learning-rate", type=float,
+              default=_from_config(lambda c: c.baseline_learning_rate))
+@click.option("--reg-lambda", type=float, default=_from_config(lambda c: c.baseline_reg_lambda))
+@click.option("--gamma", type=float, default=_from_config(lambda c: c.baseline_gamma))
+@click.option("--min-child-weight", type=float,
+              default=_from_config(lambda c: c.baseline_min_child_weight))
 @click.option("--threshold", type=float, default=0.5)
 @_stage("train-baseline")
 def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
@@ -406,38 +425,33 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
     from . import gbdt as gbdt_mod
     from . import metrics as metrics_mod
 
-    cfg = _cfg(ctx)
-    out_dir = Path(cfg.out_dir)
-    splits_dir = Path(splits_dir or out_dir / "splits")
-    model_dir = Path(model_dir or out_dir / "baseline")
-    model_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("train", "test"):
-        _require_file(splits_dir / f"{name}.jsonl", "run `ventureval split` first")
-
-    train = features_mod.read_profiles_jsonl(splits_dir / "train.jsonl")
-    test = features_mod.read_profiles_jsonl(splits_dir / "test.jsonl")
     model_config = gbdt_mod.GbdtConfig(
-        n_rounds=n_rounds if n_rounds is not None else cfg.baseline_n_rounds,
-        max_depth=max_depth if max_depth is not None else cfg.baseline_max_depth,
-        learning_rate=(
-            learning_rate if learning_rate is not None else cfg.baseline_learning_rate
-        ),
-        reg_lambda=reg_lambda if reg_lambda is not None else cfg.baseline_reg_lambda,
-        gamma=gamma if gamma is not None else cfg.baseline_gamma,
-        min_child_weight=(
-            min_child_weight
-            if min_child_weight is not None
-            else cfg.baseline_min_child_weight
-        ),
-        seed=config_mod.derive_seed(cfg.seed, "baseline"),
+        n_rounds=n_rounds,
+        max_depth=max_depth,
+        learning_rate=learning_rate,
+        reg_lambda=reg_lambda,
+        gamma=gamma,
+        min_child_weight=min_child_weight,
+        seed=derive_seed(ctx.obj["config"].seed, "baseline"),
     )
+    with _usage():
+        model_config.validate()
+    train_path, test_path = (
+        _require_file(splits_dir / f"{name}.jsonl", "run `ventureval split` first")
+        for name in ("train", "test")
+    )
+    train = features_mod.read_profiles_jsonl(train_path)
+    test = features_mod.read_profiles_jsonl(test_path)
     if not train:
-        raise DataError("training split is empty")
+        raise DataError(f"{train_path}: training split is empty")
     if len({p.success for p in train}) == 1:
-        raise DataError("training labels contain a single class")
+        raise DataError(f"{train_path}: training labels contain a single class")
+    if not test:
+        raise DataError(f"{test_path}: test split is empty")
     model = gbdt_mod.fit(
         features_mod.feature_matrix(train), features_mod.label_vector(train), model_config
     )
+    model_dir.mkdir(parents=True, exist_ok=True)
     gbdt_mod.save_model(model, model_dir / "model.json")
 
     preds = gbdt_mod.predict_many(
@@ -449,15 +463,7 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
         model_dir / "report.json",
         {
             "test": metrics_report.to_dict(),
-            "config": {
-                "n_rounds": model_config.n_rounds,
-                "max_depth": model_config.max_depth,
-                "learning_rate": model_config.learning_rate,
-                "reg_lambda": model_config.reg_lambda,
-                "gamma": model_config.gamma,
-                "min_child_weight": model_config.min_child_weight,
-                "seed": model_config.seed,
-            },
+            "config": dataclasses.asdict(model_config),
             "final_train_logloss": model.train_loss[-1] if model.train_loss else None,
         },
     )
@@ -469,23 +475,32 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
     }
 
 
+def _exemplar_from_dict(obj: dict):
+    """An exemplar pool record: a completed supervised one, or ValueError."""
+    record = prompts_mod.record_from_dict(obj)
+    prompts_mod.exemplar_turns([record])
+    return record
+
+
 @main.command("eval-endpoint")
-@click.option("--dataset", "dataset_path", default=None,
+@click.option("--dataset", "dataset_path", type=_PATH, default=_in_out_dir("prompts.jsonl"),
               help="Prompt JSONL with true labels (from `prompts`).")
-@click.option("--base-url", default=None)
-@click.option("--model", "model_name", default=None)
-@click.option("--api-key-env", default=None,
+@click.option("--base-url", default=_from_config(lambda c: c.endpoint_base_url))
+@click.option("--model", "model_name", default=_from_config(lambda c: c.endpoint_model or "default"))
+@click.option("--api-key-env", default=_from_config(lambda c: c.endpoint_api_key_env),
               help="Environment variable holding the bearer key.")
-@click.option("--temperature", type=float, default=None)
-@click.option("--max-completion-tokens", type=int, default=None)
-@click.option("--timeout-s", type=float, default=None)
-@click.option("--max-retries", type=int, default=None)
-@click.option("--max-in-flight", type=int, default=None)
+@click.option("--temperature", type=float, default=_from_config(lambda c: c.endpoint_temperature))
+@click.option("--max-completion-tokens", type=int,
+              default=_from_config(lambda c: c.endpoint_max_completion_tokens))
+@click.option("--timeout-s", type=float, default=_from_config(lambda c: c.endpoint_timeout_s))
+@click.option("--max-retries", type=int, default=_from_config(lambda c: c.endpoint_max_retries))
+@click.option("--max-in-flight", type=int,
+              default=_from_config(lambda c: c.endpoint_max_in_flight))
 @click.option("--shots", type=int, default=0,
               help="Prepend this many in-context exemplars per request.")
-@click.option("--exemplars", "exemplars_path", default=None,
+@click.option("--exemplars", "exemplars_path", type=_PATH, default=_in_out_dir("prompts.jsonl"),
               help="Supervised JSONL to draw in-context exemplars from.")
-@click.option("--out", "eval_dir", default=None)
+@click.option("--out", "eval_dir", type=_PATH, default=_in_out_dir("eval"))
 @_stage("eval-endpoint")
 def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
                       temperature, max_completion_tokens, timeout_s, max_retries,
@@ -493,57 +508,43 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
     """Evaluate a chat-completion endpoint on a compiled prompt dataset."""
     from . import client as client_mod
 
-    cfg = _cfg(ctx)
-    out_dir = Path(cfg.out_dir)
-    dataset_path = _require_file(
-        dataset_path or out_dir / "prompts.jsonl", "run `ventureval prompts` first"
-    )
-    eval_dir = Path(eval_dir or out_dir / "eval")
-    eval_dir.mkdir(parents=True, exist_ok=True)
-    base_url = base_url or cfg.endpoint_base_url
     if not base_url:
         raise click.UsageError("--base-url (or endpoint.base_url in the config) is required")
-
     endpoint = client_mod.EndpointConfig(
         base_url=base_url,
-        model=model_name or cfg.endpoint_model or "default",
-        api_key_env=api_key_env if api_key_env is not None else cfg.endpoint_api_key_env,
-        temperature=temperature if temperature is not None else cfg.endpoint_temperature,
-        max_completion_tokens=(
-            max_completion_tokens
-            if max_completion_tokens is not None
-            else cfg.endpoint_max_completion_tokens
-        ),
-        timeout_s=timeout_s if timeout_s is not None else cfg.endpoint_timeout_s,
-        max_retries=max_retries if max_retries is not None else cfg.endpoint_max_retries,
-        max_in_flight=(
-            max_in_flight if max_in_flight is not None else cfg.endpoint_max_in_flight
-        ),
+        model=model_name,
+        api_key_env=api_key_env,
+        temperature=temperature,
+        max_completion_tokens=max_completion_tokens,
+        timeout_s=timeout_s,
+        max_retries=max_retries,
+        max_in_flight=max_in_flight,
     )
+    with _usage():
+        endpoint.validate()
+    _require_file(dataset_path, "run `ventureval prompts` first")
+    if shots > 0:
+        _require_file(exemplars_path, "--shots needs --exemplars pointing at a supervised dataset")
 
     records = prompts_mod.read_records_jsonl(dataset_path)
-    if shots > 0:
-        exemplars_path = _require_file(
-            exemplars_path or out_dir / "prompts.jsonl",
-            "--shots needs --exemplars pointing at a supervised dataset",
-        )
-        pool = prompts_mod.read_records_jsonl(exemplars_path)
-        exemplars = prompts_mod.sample_fewshot(
-            pool, shots, config_mod.derive_seed(cfg.seed, "exemplars")
-        )
-        turns = []
-        for ex in exemplars:
-            turns.extend(m for m in ex.messages if m.role in ("user", "assistant"))
-        records = [
-            prompts_mod.ChatRecord(
-                messages=turns + rec.messages,
-                metadata=dict(rec.metadata),
-                label=rec.label,
-                justification=rec.justification,
+    if not records:
+        raise DataError(f"{dataset_path}: dataset is empty")
+    for record in records:
+        if record.label is None:
+            raise DataError(
+                f"{dataset_path}: record {record.metadata.get('org_id')!r} has no true 0/1 label"
             )
-            for rec in records
-        ]
+    if shots > 0:
+        # Every pool record must be a completed supervised one, not only those drawn.
+        pool = features_mod.read_jsonl(exemplars_path, _exemplar_from_dict)
+        with _naming(exemplars_path):
+            exemplars = prompts_mod.sample_fewshot(
+                pool, shots, derive_seed(ctx.obj["config"].seed, "exemplars")
+            )
+        turns = prompts_mod.exemplar_turns(exemplars)
+        records = [dataclasses.replace(rec, messages=turns + rec.messages) for rec in records]
 
+    eval_dir.mkdir(parents=True, exist_ok=True)
     result = client_mod.run_eval(endpoint, records, audit_path=eval_dir / "audit.jsonl")
     summary = _eval_summary(result)
     _write_json(
@@ -581,30 +582,25 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
 
 
 @main.command("score")
-@click.option("--audit", "audit_path", default=None)
-@click.option("--dataset", "dataset_path", default=None,
+@click.option("--audit", "audit_path", type=_PATH, default=_in_out_dir("eval", "audit.jsonl"))
+@click.option("--dataset", "dataset_path", type=_PATH, default=_in_out_dir("prompts.jsonl"),
               help="Prompt JSONL carrying the true labels (joined on org_id).")
-@click.option("--out", "out_path", default=None)
+@click.option("--out", "out_path", type=_PATH,
+              default=_in_out_dir("eval", "rescore_report.json"))
 @_stage("score")
 def score_cmd(ctx, audit_path, dataset_path, out_path):
     """Re-score a persisted audit log offline (no endpoint access)."""
     from . import client as client_mod
 
-    cfg = _cfg(ctx)
-    out_dir = Path(cfg.out_dir)
-    audit_path = _require_file(
-        audit_path or out_dir / "eval" / "audit.jsonl", "run `ventureval eval-endpoint` first"
-    )
-    dataset_path = _require_file(
-        dataset_path or out_dir / "prompts.jsonl", "the dataset supplies true labels"
-    )
+    _require_file(audit_path, "run `ventureval eval-endpoint` first")
+    _require_file(dataset_path, "the dataset supplies true labels")
     labels_by_org = {}
     for record in prompts_mod.read_records_jsonl(dataset_path):
         org_id = record.metadata.get("org_id")
         if org_id is not None and record.label is not None:
             labels_by_org[org_id] = record.label
     result = client_mod.score_audit_log(audit_path, labels_by_org)
-    _write_json(out_path or out_dir / "eval" / "rescore_report.json", _eval_summary(result))
+    _write_json(out_path, _eval_summary(result))
     click.echo(result.report.format_table())
     return {
         "records": len(result.outcomes),

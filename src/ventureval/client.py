@@ -24,6 +24,7 @@ from typing import Optional
 from . import metrics
 from ._retry import post_json, run_with_retries
 from .errors import DataError, ProtocolError, TransportError
+from .features import _jsonl_lines
 
 PARSED = "parsed"
 FALLBACK_PARSED = "fallback-parsed"
@@ -165,9 +166,7 @@ def chat_complete(
         return transport(url, payload, endpoint.timeout_s, headers)
 
     started = time.monotonic()
-    _, body, attempt_log = run_with_retries(
-        send, endpoint.max_retries, sleep=sleep, rng=rng
-    )
+    body, attempt_log = run_with_retries(send, endpoint.max_retries, sleep=sleep, rng=rng)
     latency_ms = (time.monotonic() - started) * 1000.0
     try:
         obj = json.loads(body)
@@ -330,28 +329,38 @@ def score_audit_log(audit_path, labels_by_org) -> EvalResult:
     DataError naming the file and line.
     """
     outcomes = []
-    with open(audit_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                org_id = entry["org_id"]
-            except (json.JSONDecodeError, TypeError, KeyError):
-                raise DataError(f"{audit_path}:{lineno}: not a JSON audit object with an org_id")
-            if org_id not in labels_by_org:
-                raise DataError(f"{audit_path}:{lineno}: no label for org_id {org_id!r} in the dataset")
-            error = entry.get("transport_error")
-            outcomes.append(
-                EvalOutcome(
-                    org_id=org_id,
-                    true_label=int(labels_by_org[org_id]),
-                    response=_NO_COMPLETION if error is not None else parse_response(entry["raw"]),
-                    latency_ms=float(entry.get("latency_ms", 0.0)),
-                    attempts=int(entry.get("attempts", 0)),
-                    transport_error=error,
-                )
+    for lineno, line in _jsonl_lines(audit_path):
+        where = f"{audit_path}:{lineno}"
+        try:
+            entry = json.loads(line)
+            org_id = entry["org_id"]
+        except (json.JSONDecodeError, TypeError, KeyError):
+            raise DataError(f"{where}: not a JSON audit object with an org_id")
+        if type(org_id) is not str:
+            raise DataError(f"{where}: org_id is not a string: {org_id!r}")
+        if org_id not in labels_by_org:
+            raise DataError(f"{where}: no label for org_id {org_id!r} in the dataset")
+        error, raw = entry.get("transport_error"), entry.get("raw")
+        latency_ms, attempts = entry.get("latency_ms", 0.0), entry.get("attempts", 0)
+        # type(), not isinstance: a JSON true is not a count.
+        if error is None and type(raw) is not str:
+            raise DataError(f"{where}: no transport_error, and raw is not a string: {raw!r}")
+        if error is not None and type(error) is not str:
+            raise DataError(f"{where}: transport_error is not a string: {error!r}")
+        if type(latency_ms) not in (int, float) or not math.isfinite(latency_ms):
+            raise DataError(f"{where}: latency_ms is not a finite number: {latency_ms!r}")
+        if type(attempts) is not int or attempts < 0:
+            raise DataError(f"{where}: attempts is not a count: {attempts!r}")
+        outcomes.append(
+            EvalOutcome(
+                org_id=org_id,
+                true_label=int(labels_by_org[org_id]),
+                response=_NO_COMPLETION if error is not None else parse_response(raw),
+                latency_ms=float(latency_ms),
+                attempts=attempts,
+                transport_error=error,
             )
+        )
     if not outcomes:
         raise DataError(f"audit log {audit_path} is empty")
     return _score(outcomes)

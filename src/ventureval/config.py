@@ -65,21 +65,12 @@ class RunConfig:
     baseline_min_child_weight: float = 1.0
 
 
+# Dotted spellings of the endpoint and baseline fields: "endpoint.base_url"
+# names endpoint_base_url.
 _KEY_ALIASES = {
-    "endpoint.base_url": "endpoint_base_url",
-    "endpoint.model": "endpoint_model",
-    "endpoint.api_key_env": "endpoint_api_key_env",
-    "endpoint.temperature": "endpoint_temperature",
-    "endpoint.max_completion_tokens": "endpoint_max_completion_tokens",
-    "endpoint.timeout_s": "endpoint_timeout_s",
-    "endpoint.max_retries": "endpoint_max_retries",
-    "endpoint.max_in_flight": "endpoint_max_in_flight",
-    "baseline.n_rounds": "baseline_n_rounds",
-    "baseline.max_depth": "baseline_max_depth",
-    "baseline.learning_rate": "baseline_learning_rate",
-    "baseline.reg_lambda": "baseline_reg_lambda",
-    "baseline.gamma": "baseline_gamma",
-    "baseline.min_child_weight": "baseline_min_child_weight",
+    f.name.replace("_", ".", 1): f.name
+    for f in fields(RunConfig)
+    if f.name.startswith(("endpoint_", "baseline_"))
 }
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the pipeline.
 
-The CLI maps these onto exit codes: usage problems (bad flags, missing
-inputs) exit 2, DataError exits 3, TransportError/ProtocolError exit 4.
+The CLI maps these onto exit codes: usage problems (bad flags or config,
+missing inputs) exit 2, DataError exits 3, TransportError/ProtocolError
+exit 4. Any other exception is a bug and exits 1 with a traceback.
 """
 
 

@@ -320,7 +320,7 @@ class SplitSpec:
     stratified: bool = True
 
     def validate(self) -> None:
-        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
+        if len(self.ratios) != 3 or not all(r > 0 for r in self.ratios):  # NaN too
             raise ValueError("ratios must be three positive numbers")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ValueError(f"ratios must sum to 1, got {sum(self.ratios)}")
@@ -389,9 +389,24 @@ def write_profiles_jsonl(profiles, path) -> int:
     return count
 
 
-# surrogateescape decodes each byte that is not UTF-8 to one of these lone
-# surrogates, which a UTF-8 file never holds.
-_UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
+# A lone surrogate. Decoding with surrogateescape turns each byte that is not
+# UTF-8 into one (U+DC80-U+DCFF), and valid UTF-8 never decodes to one; a JSON
+# "\ud800" escape also yields one, which no UTF-8 output can hold.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _jsonl_lines(path):
+    """``(line number, text)`` for each non-blank line of ``path``. A line
+    that is not UTF-8 raises DataError naming the file and line."""
+    # surrogateescape defers decode errors to the line that holds them.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            undecodable = not line.isascii() and _SURROGATE_RE.search(line)
+            if undecodable:
+                byte = ord(undecodable.group()) - 0xDC00
+                raise DataError(f"{path}:{lineno}: not UTF-8: byte 0x{byte:02x}")
+            if line.strip():
+                yield lineno, line
 
 
 def read_jsonl(path, build) -> list:
@@ -400,36 +415,36 @@ def read_jsonl(path, build) -> list:
     ``build`` rejects (KeyError, TypeError, ValueError), raises DataError
     naming the file and line."""
     out = []
-    # surrogateescape defers decode errors to the line that holds them.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            undecodable = not line.isascii() and _UNDECODABLE_RE.search(line)
-            if undecodable:
-                byte = ord(undecodable.group()) - 0xDC00
-                raise DataError(f"{path}:{lineno}: not UTF-8: byte 0x{byte:02x}")
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: not JSON: {exc}")
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
-            try:
-                out.append(build(obj))
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: missing field {exc}")
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}")
+    for lineno, line in _jsonl_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: not JSON: {exc}")
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+        try:
+            out.append(build(obj))
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: missing field {exc}")
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}")
     return out
+
+
+def _check_text(name: str, value) -> None:
+    """Reject a field that should be text but is not a string, or that holds
+    a lone surrogate."""
+    if type(value) is not str:
+        raise ValueError(f"{name} is not a string: {value!r}")
+    if not value.isascii() and _SURROGATE_RE.search(value):
+        raise ValueError(f"{name} holds a lone surrogate: {value!r}")
 
 
 def _profile_from_dict(obj: dict) -> CompanyProfile:
     values = {name: obj[name] for name in PROFILE_FIELDS}
     # type(), not isinstance: a JSON true or false is neither a number nor a flag.
     for name in TEXT_PROFILE_FIELDS:
-        if type(values[name]) is not str:
-            raise ValueError(f"{name} is not a string: {values[name]!r}")
+        _check_text(name, values[name])
     for name in FEATURE_COLUMNS:
         value = values[name]
         if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:

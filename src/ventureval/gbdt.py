@@ -47,7 +47,7 @@ class GbdtConfig:
             raise ValueError("max_depth must be >= 1")
         if not (0.0 < self.learning_rate <= 1.0):
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.reg_lambda < 0 or self.gamma < 0 or self.min_child_weight < 0:
+        if not (self.reg_lambda >= 0 and self.gamma >= 0 and self.min_child_weight >= 0):  # NaN too
             raise ValueError("reg_lambda, gamma and min_child_weight must be >= 0")
 
 

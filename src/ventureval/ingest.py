@@ -92,7 +92,11 @@ def parse_kv_text(text: str, source) -> dict:
 
 
 def parse_kv_file(path) -> dict:
-    return parse_kv_text(Path(path).read_text(encoding="utf-8"), path)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8: {exc}")
+    return parse_kv_text(text, path)
 
 
 def parse_mapping(flat: dict) -> dict:
@@ -218,37 +222,40 @@ def load_table(path, kind, mapping=None, strict=False):
     """
     physical = _physical_columns(mapping or default_mapping(), kind)
     path = Path(path)
-    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required")
-        columns = []
-        for name, (column, ctype) in zip(physical, SCHEMA[kind]):
-            if name not in header:
-                raise DataError(f"{path}: header lacks mapped column {name!r}")
-            rule = _ROW_RULES.get((kind, column))
-            columns.append((header.index(name), column, _COLUMN_TYPES[ctype][0], rule))
-
-        make_row = ROW_TYPES[kind]._make
-        rows, errors = [], []
-        seen_keys: set = set()
-        for record in reader:
-            line = reader.line_num
-            if not record:
-                continue
+    try:
+        with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                values = []
-                for pos, column, parse, rule in columns:
-                    values.append(parse(record[pos] if pos < len(record) else "", column))
-                    if rule is not None:
-                        rule(values, seen_keys, column)
-                rows.append(make_row(values))
-            except ValueError as exc:
-                if strict:
-                    raise DataError(f"{path}:{line}: {exc}")
-                errors.append(RowError(line=line, reason=str(exc)))
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, header row required")
+            columns = []
+            for name, (column, ctype) in zip(physical, SCHEMA[kind]):
+                if name not in header:
+                    raise DataError(f"{path}: header lacks mapped column {name!r}")
+                rule = _ROW_RULES.get((kind, column))
+                columns.append((header.index(name), column, _COLUMN_TYPES[ctype][0], rule))
+
+            make_row = ROW_TYPES[kind]._make
+            rows, errors = [], []
+            seen_keys: set = set()
+            for record in reader:
+                line = reader.line_num
+                if not record:
+                    continue
+                try:
+                    values = []
+                    for pos, column, parse, rule in columns:
+                        values.append(parse(record[pos] if pos < len(record) else "", column))
+                        if rule is not None:
+                            rule(values, seen_keys, column)
+                    rows.append(make_row(values))
+                except ValueError as exc:
+                    if strict:
+                        raise DataError(f"{path}:{line}: {exc}")
+                    errors.append(RowError(line=line, reason=str(exc)))
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DataError(f"{path}:{reader.line_num}: {exc}")
     return rows, errors
 
 

@@ -288,7 +288,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             kwargs["sleep"] = self._sleep
         if self._rng is not None:
             kwargs["rng"] = self._rng
-        _, body, _ = run_with_retries(send, self.max_retries, **kwargs)
+        body, _ = run_with_retries(send, self.max_retries, **kwargs)
         try:
             obj = json.loads(body)
             return TokenEmbeddings(

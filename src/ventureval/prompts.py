@@ -21,7 +21,7 @@ from importlib import resources
 from typing import Optional
 
 from .errors import DataError
-from .features import CompanyProfile, read_jsonl
+from .features import CompanyProfile, _check_text, read_jsonl
 
 IM_START = "<|im_start|>"
 IM_END = "<|im_end|>"
@@ -277,12 +277,7 @@ def render_prompt(
     )
     description_start = len(user_text) - len(description) if description else None
 
-    messages = []
-    for ex in exemplars:
-        turns = [m for m in ex.messages if m.role in ("user", "assistant")]
-        if not turns or turns[-1].role != "assistant":
-            raise ValueError("exemplars must be completed supervised records")
-        messages.extend(turns)
+    messages = exemplar_turns(exemplars)
     messages.append(ChatMessage("user", user_text))
 
     metadata = {"org_id": profile.org_id, "variant": variant}
@@ -301,6 +296,19 @@ def render_prompt(
         )
     return ChatRecord(messages=messages, metadata=metadata, label=profile.success,
                       description_start=description_start)
+
+
+def exemplar_turns(exemplars) -> list:
+    """The user and assistant turns of ``exemplars``, in order, to prepend to
+    a prompt for in-context evaluation. Each exemplar must be a completed
+    supervised record, ending with its assistant turn; otherwise ValueError."""
+    messages = []
+    for ex in exemplars:
+        turns = [m for m in ex.messages if m.role in ("user", "assistant")]
+        if not turns or turns[-1].role != "assistant":
+            raise ValueError("exemplars must be completed supervised records")
+        messages.extend(turns)
+    return messages
 
 
 def serialize_chat(record: ChatRecord) -> str:
@@ -419,16 +427,28 @@ def record_to_dict(record: ChatRecord) -> dict:
 
 
 def record_from_dict(obj: dict) -> ChatRecord:
-    metadata = {}
-    if obj.get("org_id") is not None:
-        metadata["org_id"] = obj["org_id"]
-    if obj.get("variant") is not None:
-        metadata["variant"] = obj["variant"]
+    messages = obj["messages"]
+    # type(), not isinstance: a JSON true is not a label.
+    if type(messages) is not list or not messages:
+        raise ValueError(f"messages is not a non-empty list: {messages!r}")
+    chat = []
+    for message in messages:
+        if type(message) is not dict:
+            raise ValueError(f"message is not an object: {message!r}")
+        _check_text("message content", message["content"])
+        chat.append(ChatMessage(message["role"], message["content"]))
+    label = obj.get("label")
+    if label is not None and (type(label) is not int or label not in (0, 1)):
+        raise ValueError(f"label is not null, 0 or 1: {label!r}")
+    texts = {name: obj.get(name) for name in ("justification", "org_id", "variant")}
+    for name, value in texts.items():
+        if value is not None:
+            _check_text(name, value)
     return ChatRecord(
-        messages=[ChatMessage(m["role"], m["content"]) for m in obj["messages"]],
-        metadata=metadata,
-        label=obj.get("label"),
-        justification=obj.get("justification"),
+        messages=chat,
+        metadata={name: texts[name] for name in ("org_id", "variant") if texts[name] is not None},
+        label=label,
+        justification=texts["justification"],
     )
 
 

@@ -85,6 +85,21 @@ _OTHER_TITLES = (
 )
 
 
+def _is_number(value) -> bool:
+    # type(), not isinstance: a JSON true is not a number.
+    return type(value) in (int, float)
+
+
+# What a JSON value must be, by the type of the field's default.
+_FIELD_TYPES = {
+    str: ("a string", lambda v: type(v) is str),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", _is_number),
+    tuple: ("a list of numbers", lambda v: type(v) in (list, tuple) and all(map(_is_number, v))),
+    dict: ("an object of numbers", lambda v: type(v) is dict and all(map(_is_number, v.values()))),
+}
+
+
 @dataclass
 class SynthConfig:
     n_companies: int = 1000
@@ -108,6 +123,10 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_companies < 0:
             raise ValueError("n_companies must be >= 0")
+        try:
+            date.fromisoformat(self.reference_date)
+        except ValueError:
+            raise ValueError(f"reference_date must be an ISO date, got {self.reference_date!r}")
         if self.noise not in NOISE_MODES:
             raise ValueError(f"noise must be one of {NOISE_MODES}")
         if len(self.beta) != 6:
@@ -151,10 +170,16 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        if type(obj) is not dict:
+            raise ValueError(f"a synth config is a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
+        defaults = cls()
+        for name, value in obj.items():
+            kind, check = _FIELD_TYPES[type(getattr(defaults, name))]
+            if not check(value):
+                raise ValueError(f"synth config field {name!r} must be {kind}, got {value!r}")
         cfg = cls(**obj)
         cfg.beta = tuple(cfg.beta)
         cfg.age_range_years = tuple(cfg.age_range_years)

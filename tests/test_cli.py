@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from conftest import CONFIG_DIR, GOLDEN_PROFILE
 from ventureval.cli import main
+from ventureval.config import RunConfig, derive_seed
 from ventureval.features import write_profiles_jsonl
 from ventureval.prompts import ChatMessage, ChatRecord, emit_jsonl
 
@@ -149,6 +150,7 @@ NUMPY_PROBE = """
 import atexit, sys
 atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules))
 from ventureval.cli import main
+from ventureval.config import RunConfig, derive_seed
 main(prog_name="ventureval")
 """
 
@@ -414,6 +416,18 @@ def test_score_reproduces_eval_report(tmp_path, contents, exit_code):
         ('{"org_id": "org0", "raw": "x"}\n["org0"]\n', "audit.jsonl:2: not a JSON audit object"),
         ("Prediction: Successful\n", "audit.jsonl:1: not a JSON audit object"),
         ('{"raw": "Prediction: Successful"}\n', "audit.jsonl:1: not a JSON audit object"),
+        ('{"org_id": "org0", "raw": "x", "latency_ms": "slow"}\n',
+         "audit.jsonl:1: latency_ms is not a finite number: 'slow'"),
+        ('{"org_id": "org0", "raw": "x", "latency_ms": NaN}\n',
+         "audit.jsonl:1: latency_ms is not a finite number: nan"),
+        ('{"org_id": "org0", "raw": "x", "attempts": "2"}\n', "audit.jsonl:1: attempts is not a count: '2'"),
+        ('{"org_id": "org0", "raw": "x", "attempts": true}\n', "audit.jsonl:1: attempts is not a count: True"),
+        ('{"org_id": "org0"}\n', "audit.jsonl:1: no transport_error, and raw is not a string: None"),
+        ('{"org_id": "org0", "raw": 5}\n', "audit.jsonl:1: no transport_error, and raw is not a string: 5"),
+        ('{"org_id": "org0", "raw": null, "transport_error": 5}\n',
+         "audit.jsonl:1: transport_error is not a string: 5"),
+        ('{"org_id": 0, "raw": "x"}\n', "audit.jsonl:1: org_id is not a string: 0"),
+        ('{"org_id": ["org0"], "raw": "x"}\n', "audit.jsonl:1: org_id is not a string: ['org0']"),
     ],
 )
 def test_score_data_faults_exit_with_data_error(tmp_path, audit, message):
@@ -497,7 +511,8 @@ def test_non_finite_profile_number_exits_with_data_error(tmp_path, stage, value,
     ("success", 2, "success is not 0 or 1: 2"),
     ("had_ipo", True, "had_ipo is not 0 or 1: True"),
     ("raised_imputed", 1.0, "raised_imputed is not 0 or 1: 1.0"),
-], ids=["text-int", "text-null", "text-list", "label-2", "flag-bool", "flag-float"])
+    ("name", "Acme \ud800", "name holds a lone surrogate: 'Acme \\ud800'"),
+], ids=["text-int", "text-null", "text-list", "label-2", "flag-bool", "flag-float", "text-surrogate"])
 def test_mistyped_profile_field_exits_with_data_error(tmp_path, stage, field, value, reason):
     bad = tmp_path / "in" / "train.jsonl"
     bad.parent.mkdir()
@@ -506,6 +521,204 @@ def test_mistyped_profile_field_exits_with_data_error(tmp_path, stage, field, va
     result = invoke(*profile_stage_args(stage, bad, tmp_path))
     assert result.exit_code == 3, result.output
     assert f"{bad}:2: {reason}" in result.output
+
+
+@pytest.mark.parametrize("stage", ["eval-endpoint", "score"])
+@pytest.mark.parametrize("field,value,reason", [
+    ("label", 2, "label is not null, 0 or 1: 2"),
+    ("label", True, "label is not null, 0 or 1: True"),
+    ("label", "1", "label is not null, 0 or 1: '1'"),
+    ("messages", [], "messages is not a non-empty list: []"),
+    ("messages", "company a", "messages is not a non-empty list: 'company a'"),
+    ("messages", [5], "message is not an object: 5"),
+    ("messages", [{"role": "user", "content": 5}], "message content is not a string: 5"),
+    ("messages", [{"role": "user", "content": "a \ud800"}],
+     "message content holds a lone surrogate: 'a \\ud800'"),
+    ("messages", [{"role": "robot", "content": "a"}], "unknown chat role 'robot'"),
+    ("org_id", 7, "org_id is not a string: 7"),
+    ("justification", ["why"], "justification is not a string: ['why']"),
+    ("variant", 4, "variant is not a string: 4"),
+], ids=["label-2", "label-bool", "label-string", "no-messages", "messages-string",
+        "message-int", "content-int", "content-surrogate", "role", "org-id-int",
+        "justification-list", "variant-int"])
+def test_mistyped_record_field_exits_with_data_error(tmp_path, stage, field, value, reason):
+    bad = tmp_path / "in" / "train.jsonl"
+    bad.parent.mkdir()
+    line = json.dumps({**RECORD_LINE, field: value})
+    bad.write_text(json.dumps(RECORD_LINE) + "\n" + line + "\n", encoding="utf-8")
+    result = invoke(*record_stage_args(stage, bad, tmp_path))
+    assert result.exit_code == 3, result.output
+    assert f"{bad}:2: {reason}" in result.output
+
+
+def test_score_non_utf8_audit_exits_with_data_error(tmp_path):
+    dataset = tmp_path / "prompts.jsonl"
+    write_eval_dataset(dataset, ["company a"])
+    audit = tmp_path / "audit.jsonl"
+    audit.write_bytes(b'{"org_id": "org0", "raw": "x"}\n{"org_id": "org0", "raw": "\xc3\xa9\xff"}\n')
+    result = invoke("score", "--audit", str(audit), "--dataset", str(dataset),
+                    "--out", str(tmp_path / "rescore.json"))
+    assert result.exit_code == 3, result.output
+    assert f"{audit}:2: not UTF-8: byte 0xff" in result.output
+
+
+def test_empty_test_split_exits_with_data_error(tmp_path):
+    splits = tmp_path / "splits"
+    splits.mkdir()
+    profiles = [dataclasses.replace(GOLDEN_PROFILE, org_id=f"org{i}", success=i % 2)
+                for i in range(4)]
+    write_profiles_jsonl(profiles, splits / "train.jsonl")
+    write_profiles_jsonl([], splits / "test.jsonl")
+    result = invoke("train-baseline", "--splits", str(splits), "--out", str(tmp_path / "baseline"))
+    assert result.exit_code == 3, result.output
+    assert f"{splits / 'test.jsonl'}: test split is empty" in result.output
+
+
+@pytest.mark.parametrize("lines,reason", [
+    ([], "dataset is empty"),
+    (["\n"], "dataset is empty"),
+    ([json.dumps(RECORD_LINE), json.dumps({**RECORD_LINE, "org_id": "org1", "label": None})],
+     "record 'org1' has no true 0/1 label"),
+], ids=["empty", "blank", "unlabeled"])
+def test_eval_dataset_faults_exit_before_any_request(tmp_path, lines, reason):
+    dataset = tmp_path / "prompts.jsonl"
+    dataset.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), RecordingHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    RecordingHandler.requests = []
+    try:
+        result = invoke("eval-endpoint", "--dataset", str(dataset),
+                        "--base-url", f"http://127.0.0.1:{server.server_address[1]}",
+                        "--out", str(tmp_path / "eval"))
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert result.exit_code == 3, result.output
+    assert f"{dataset}: {reason}" in result.output
+    assert RecordingHandler.requests == []
+
+
+class RecordingHandler(BaseHTTPRequestHandler):
+    """Records the roles of each request's messages; always answers
+    "Prediction: Successful"."""
+
+    requests = []
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        payload = json.loads(self.rfile.read(length))
+        self.requests.append([m["role"] for m in payload["messages"]])
+        body = json.dumps({"choices": [{"message": {"content": "Prediction: Successful"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def run_with_shots(tmp_path, pool_records, shots=2):
+    pool = tmp_path / "pool.jsonl"
+    emit_jsonl(pool_records, pool)
+    dataset = tmp_path / "prompts.jsonl"
+    write_eval_dataset(dataset, ["company a", "company b"])
+    server = ThreadingHTTPServer(("127.0.0.1", 0), RecordingHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    RecordingHandler.requests = []
+    try:
+        result = invoke("eval-endpoint", "--dataset", str(dataset), "--shots", str(shots),
+                        "--exemplars", str(pool), "--max-in-flight", "1",
+                        "--base-url", f"http://127.0.0.1:{server.server_address[1]}",
+                        "--out", str(tmp_path / "eval"))
+    finally:
+        server.shutdown()
+        server.server_close()
+    return result, pool
+
+
+def test_shots_prepend_alternating_exemplar_turns(tmp_path):
+    pool = [
+        ChatRecord(messages=[ChatMessage("system", "be brief"), ChatMessage("user", f"company {i}"),
+                             ChatMessage("assistant", "Prediction: Successful")],
+                   metadata={"org_id": f"ex{i}"}, label=i % 2)
+        for i in range(6)
+    ]
+    result, _ = run_with_shots(tmp_path, pool)
+    assert result.exit_code == 0, result.output
+    assert RecordingHandler.requests == [["user", "assistant", "user", "assistant", "user"]] * 2
+    assert json.loads((tmp_path / "eval" / "report.json").read_text())["shots"] == 2
+
+
+def test_shots_from_an_inference_pool_exit_with_data_error(tmp_path):
+    pool = [ChatRecord(messages=[ChatMessage("user", f"company {i}")],
+                       metadata={"org_id": f"ex{i}"}, label=i % 2)
+            for i in range(6)]
+    result, pool_path = run_with_shots(tmp_path, pool)
+    assert result.exit_code == 3, result.output
+    assert f"{pool_path}:1: exemplars must be completed supervised records" in result.output
+    assert RecordingHandler.requests == []
+
+
+def test_features_creates_its_out_dir(tmp_path):
+    data_dir = tmp_path / "data"
+    run_ok("synth", "--synth-config", str(CONFIG_DIR / "synth_threshold.json"),
+           "--out", str(data_dir), "--n", "10", "--seed", "4")
+    run_ok("ingest", "--data-dir", str(data_dir), "--out", str(tmp_path / "out"))
+    new_dir = tmp_path / "new" / "profiles"
+    run_ok("features", "--ingested", str(tmp_path / "out" / "ingested"), "--out", str(new_dir))
+    assert (new_dir / "profiles.jsonl").exists()
+
+
+@pytest.mark.parametrize("field,value,shown", [
+    ("n_companies", "5", "'n_companies' must be an integer, got '5'"),
+    ("missing_rates", [], "'missing_rates' must be an object of numbers, got []"),
+    ("beta", [0, 1, 0, "1", 0, 0], "'beta' must be a list of numbers"),
+    ("reference_date", "June", "reference_date must be an ISO date, got 'June'"),
+], ids=["int-as-string", "dict-as-list", "list-of-strings", "bad-date"])
+def test_mistyped_synth_config_is_usage_error(tmp_path, field, value, shown):
+    config = json.loads((CONFIG_DIR / "synth_threshold.json").read_text())
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({**config, field: value}), encoding="utf-8")
+    result = invoke("synth", "--synth-config", str(path), "--out", str(tmp_path / "data"))
+    assert result.exit_code == 2, result.output
+    assert shown in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["stats", "--profiles", "{dir}"],
+    ["--config", "{dir}", "stats"],
+    ["synth", "--synth-config", "{dir}"],
+    ["ingest", "--mapping", "{dir}"],
+    ["split", "--profiles", "{profiles}", "--ratios", "nan,0.5,0.5"],
+    ["features", "--reference-date", "June"],
+    ["prompts", "--profiles", "{profiles}", "--fewshot-k", "0"],
+    ["train-baseline", "--rounds", "0"],
+    ["train-baseline", "--reg-lambda", "nan"],
+], ids=["input-is-dir", "config-is-dir", "synth-config-is-dir", "mapping-is-dir",
+        "nan-ratio", "bad-date", "fewshot-0", "rounds-0", "reg-lambda-nan"])
+def test_bad_command_line_is_usage_error(tmp_path, args):
+    profiles = tmp_path / "profiles.jsonl"
+    write_profiles_jsonl([GOLDEN_PROFILE] * 4, profiles)
+    args = [a.format(dir=tmp_path, profiles=profiles) for a in args]
+    result = invoke(*args)
+    assert result.exit_code == 2, result.output
+
+
+def test_value_error_inside_a_stage_is_not_a_usage_error(tmp_path, monkeypatch):
+    """Only flags, the run or synth config and missing inputs are usage
+    errors; a ValueError from library code is a bug and keeps its traceback."""
+    profiles = tmp_path / "profiles.jsonl"
+    write_profiles_jsonl([GOLDEN_PROFILE], profiles)
+
+    def broken(profiles):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr("ventureval.features.corpus_stats", broken)
+    result = invoke("stats", "--profiles", str(profiles), "--out", str(tmp_path / "stats.json"))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, ValueError)
 
 
 def test_lenient_ingest_collects_row_errors(tmp_path):
@@ -563,3 +776,91 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     config_path.write_text("nonsense_key = 1\n", encoding="utf-8")
     result = invoke("--config", str(config_path), "stats")
     assert result.exit_code == 2
+
+
+def test_config_value_is_checked_like_its_flag(tmp_path):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("variant = V9\n", encoding="utf-8")
+    result = invoke("--config", str(config_path), "prompts")
+    assert result.exit_code == 2
+    assert "'V9' is not one of" in result.output
+
+
+def resolved_params(tmp_path, config_text, command):
+    """The parameters ``command`` resolves under a run config, with no flag
+    given: the group runs its callback, then parses the subcommand."""
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(config_text, encoding="utf-8")
+    ctx = main.make_context("ventureval", ["--config", str(config_path), command])
+    with ctx:
+        ctx.invoke(main.callback, **ctx.params)
+        args = ["--synth-config", str(config_path)] if command == "synth" else []
+        return main.commands[command].make_context(command, args, parent=ctx).params
+
+
+MAPPING_FILE = Path(__file__).parent.parent / "src" / "ventureval" / "data" / "default_mapping.txt"
+
+# Each run-config key, a non-default value, and the (command, parameter,
+# value) it must resolve to when no flag is given.
+CONFIG_KEY_CASES = {
+    "data_dir": ("d1", [("synth", "out_dir", Path("d1")), ("ingest", "data_dir", Path("d1"))]),
+    "out_dir": ("o1", [
+        ("ingest", "out_dir", Path("o1")),
+        ("features", "out_dir", Path("o1")),
+        ("stats", "profiles_path", Path("o1/profiles.jsonl")),
+        ("stats", "out_path", Path("o1/stats.json")),
+        ("split", "profiles_path", Path("o1/profiles.jsonl")),
+        ("split", "splits_dir", Path("o1/splits")),
+        ("prompts", "profiles_path", Path("o1/profiles.jsonl")),
+        ("prompts", "out_path", Path("o1/prompts.jsonl")),
+        ("train-baseline", "splits_dir", Path("o1/splits")),
+        ("train-baseline", "model_dir", Path("o1/baseline")),
+        ("eval-endpoint", "dataset_path", Path("o1/prompts.jsonl")),
+        ("eval-endpoint", "exemplars_path", Path("o1/prompts.jsonl")),
+        ("eval-endpoint", "eval_dir", Path("o1/eval")),
+        ("score", "audit_path", Path("o1/eval/audit.jsonl")),
+        ("score", "dataset_path", Path("o1/prompts.jsonl")),
+        ("score", "out_path", Path("o1/eval/rescore_report.json")),
+    ]),
+    "reference_date": ("2020-01-02", [("features", "reference_date", "2020-01-02")]),
+    "variant": ("V2", [("prompts", "variant", "V2")]),
+    "budget": ("99", [("prompts", "budget", 99)]),
+    "seed": ("5", [("split", "seed", derive_seed(5, "split")),
+                   ("prompts", "balance_seed", derive_seed(5, "balance")),
+                   ("prompts", "fewshot_seed", derive_seed(5, "fewshot"))]),
+    "ratios": ("0.6,0.2,0.2", [("split", "ratios", "0.6,0.2,0.2")]),
+    "stratified": ("false", [("split", "stratified", False)]),
+    "include_description": ("false", [("prompts", "include_description", False)]),
+    "leakage_guard": ("false", [("prompts", "leakage_guard", False)]),
+    "strict_ingest": ("true", [("ingest", "strict", True)]),
+    "mapping": (str(MAPPING_FILE), [("ingest", "mapping_path", str(MAPPING_FILE))]),
+    "endpoint.base_url": ("http://h:1", [("eval-endpoint", "base_url", "http://h:1")]),
+    "endpoint.model": ("m1", [("eval-endpoint", "model_name", "m1")]),
+    "endpoint.api_key_env": ("K1", [("eval-endpoint", "api_key_env", "K1")]),
+    "endpoint.temperature": ("0.5", [("eval-endpoint", "temperature", 0.5)]),
+    "endpoint.max_completion_tokens": ("7", [("eval-endpoint", "max_completion_tokens", 7)]),
+    "endpoint.timeout_s": ("9.5", [("eval-endpoint", "timeout_s", 9.5)]),
+    "endpoint.max_retries": ("1", [("eval-endpoint", "max_retries", 1)]),
+    "endpoint.max_in_flight": ("2", [("eval-endpoint", "max_in_flight", 2)]),
+    "baseline.n_rounds": ("7", [("train-baseline", "n_rounds", 7)]),
+    "baseline.max_depth": ("2", [("train-baseline", "max_depth", 2)]),
+    "baseline.learning_rate": ("0.3", [("train-baseline", "learning_rate", 0.3)]),
+    "baseline.reg_lambda": ("2.5", [("train-baseline", "reg_lambda", 2.5)]),
+    "baseline.gamma": ("0.5", [("train-baseline", "gamma", 0.5)]),
+    "baseline.min_child_weight": ("3.0", [("train-baseline", "min_child_weight", 3.0)]),
+}
+
+
+def test_config_key_cases_cover_every_run_config_field():
+    assert {key.replace(".", "_", 1) for key in CONFIG_KEY_CASES} == {
+        f.name for f in dataclasses.fields(RunConfig)
+    }
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEY_CASES))
+def test_config_key_reaches_its_option(tmp_path, key):
+    value, expected = CONFIG_KEY_CASES[key]
+    for command, param, want in expected:
+        default = resolved_params(tmp_path, "", command)[param]
+        assert default != want, (command, param)  # the case must use a non-default value
+        assert resolved_params(tmp_path, f"{key} = {value}\n", command)[param] == want, (command, param)

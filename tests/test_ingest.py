@@ -81,6 +81,21 @@ def test_missing_mapped_column_is_fatal(tmp_path):
         load_table(path, "organizations")
 
 
+def test_oversized_field_is_a_data_error(tmp_path):
+    """An unterminated quote runs to the end of the file; past the csv
+    module's field limit that is a data error naming file and line."""
+    path = write(tmp_path, "organizations.csv", ORG_HEADER + 'c1,"' + "x" * 200_000 + "\n")
+    with pytest.raises(DataError, match=f"{path}:2: field larger than field limit"):
+        load_table(path, "organizations")
+
+
+def test_non_utf8_mapping_is_a_data_error(tmp_path):
+    path = tmp_path / "mapping.txt"
+    path.write_bytes(b"organizations.name = \xffname\n")
+    with pytest.raises(DataError, match=f"{path}: not UTF-8"):
+        load_mapping_file(path)
+
+
 def test_strict_mode_promotes_row_errors(tmp_path):
     path = write(
         tmp_path, "organizations.csv", ORG_HEADER + "c1,Acme,x,bad-date,\n"
