@@ -159,7 +159,7 @@ def _eval_summary(result) -> dict:
 
 
 def _require_file(path: Path, hint: str) -> Path:
-    if not path.is_file():
+    if not path.exists() or path.is_dir():
         raise click.UsageError(f"missing input {path} ({hint})")
     return path
 
@@ -231,7 +231,7 @@ def synth_cmd(ctx, synth_config_path, out_dir, n_companies, seed):
 @click.option("--mapping", "mapping_path", type=click.Path(exists=True, dir_okay=False),
               default=_from_config(lambda c: c.mapping or None),
               help="Column mapping file (defaults to the built-in mapping).")
-@click.option("--strict", is_flag=True, default=_from_config(lambda c: c.strict_ingest),
+@click.option("--strict", is_flag=True, flag_value=True, default=_from_config(lambda c: c.strict_ingest),
               help="Promote per-row parse errors to a fatal data error.")
 @click.option("--out", "out_dir", type=_PATH, default=_from_config(lambda c: c.out_dir))
 @_stage("ingest")

@@ -24,7 +24,7 @@ from typing import Optional
 from . import metrics
 from ._retry import post_json, run_with_retries
 from .errors import DataError, ProtocolError, TransportError
-from .features import _jsonl_lines
+from .features import _FLOAT_MAX, _jsonl_lines
 
 PARSED = "parsed"
 FALLBACK_PARSED = "fallback-parsed"
@@ -171,7 +171,7 @@ def chat_complete(
     try:
         obj = json.loads(body)
         content = obj["choices"][0]["message"]["content"]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise ProtocolError(f"malformed chat-completion response: {exc}", attempts=attempt_log)
     if not isinstance(content, str):
         raise ProtocolError("completion content is not a string", attempts=attempt_log)
@@ -334,7 +334,7 @@ def score_audit_log(audit_path, labels_by_org) -> EvalResult:
         try:
             entry = json.loads(line)
             org_id = entry["org_id"]
-        except (json.JSONDecodeError, TypeError, KeyError):
+        except (ValueError, TypeError, KeyError):
             raise DataError(f"{where}: not a JSON audit object with an org_id")
         if type(org_id) is not str:
             raise DataError(f"{where}: org_id is not a string: {org_id!r}")
@@ -347,7 +347,7 @@ def score_audit_log(audit_path, labels_by_org) -> EvalResult:
             raise DataError(f"{where}: no transport_error, and raw is not a string: {raw!r}")
         if error is not None and type(error) is not str:
             raise DataError(f"{where}: transport_error is not a string: {error!r}")
-        if type(latency_ms) not in (int, float) or not math.isfinite(latency_ms):
+        if type(latency_ms) not in (int, float) or not abs(latency_ms) <= _FLOAT_MAX:
             raise DataError(f"{where}: latency_ms is not a finite number: {latency_ms!r}")
         if type(attempts) is not int or attempts < 0:
             raise DataError(f"{where}: attempts is not a count: {attempts!r}")

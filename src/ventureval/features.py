@@ -418,7 +418,7 @@ def read_jsonl(path, build) -> list:
     for lineno, line in _jsonl_lines(path):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise DataError(f"{path}:{lineno}: not JSON: {exc}")
         if not isinstance(obj, dict):
             raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")

@@ -150,7 +150,6 @@ NUMPY_PROBE = """
 import atexit, sys
 atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules))
 from ventureval.cli import main
-from ventureval.config import RunConfig, derive_seed
 main(prog_name="ventureval")
 """
 
@@ -203,6 +202,21 @@ def test_features_without_ingest_is_usage_error(tmp_path):
     result = invoke("features", "--out", str(tmp_path / "out"))
     assert result.exit_code == 2
     assert "missing input" in result.output
+
+
+def test_stats_reads_profiles_from_a_pipe(tmp_path):
+    fifo = tmp_path / "profiles.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        write_profiles_jsonl([GOLDEN_PROFILE] * 3, fifo)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    result = invoke("stats", "--profiles", str(fifo), "--out", str(tmp_path / "stats.json"))
+    writer.join(timeout=30)
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "stats.json").read_text())["n_total"] == 3
 
 
 def test_unknown_flag_is_usage_error():
@@ -420,6 +434,10 @@ def test_score_reproduces_eval_report(tmp_path, contents, exit_code):
          "audit.jsonl:1: latency_ms is not a finite number: 'slow'"),
         ('{"org_id": "org0", "raw": "x", "latency_ms": NaN}\n',
          "audit.jsonl:1: latency_ms is not a finite number: nan"),
+        ('{"org_id": "org0", "raw": "x", "latency_ms": 1' + "0" * 400 + '}\n',
+         "audit.jsonl:1: latency_ms is not a finite number: 1" + "0" * 400),
+        ('{"org_id": "org0", "raw": "x", "attempts": 1' + "0" * 5000 + '}\n',
+         "audit.jsonl:1: not a JSON audit object"),
         ('{"org_id": "org0", "raw": "x", "attempts": "2"}\n', "audit.jsonl:1: attempts is not a count: '2'"),
         ('{"org_id": "org0", "raw": "x", "attempts": true}\n', "audit.jsonl:1: attempts is not a count: True"),
         ('{"org_id": "org0"}\n', "audit.jsonl:1: no transport_error, and raw is not a string: None"),
@@ -471,12 +489,13 @@ def record_stage_args(stage, bad, tmp_path):
      for stage in ("stats", "split", "prompts", "train-baseline")]
     + [(stage, RECORD_LINE, record_stage_args, "messages") for stage in ("eval-endpoint", "score")],
 )
-@pytest.mark.parametrize("fault", ["missing key", "not JSON", "not an object", "not UTF-8"])
+@pytest.mark.parametrize("fault", ["missing key", "not JSON", "too many digits", "not an object", "not UTF-8"])
 def test_malformed_jsonl_input_exits_with_data_error(tmp_path, stage, good, build_args, missing, fault):
     bad_line, reason = {
         "missing key": (json.dumps({k: v for k, v in good.items() if k != missing}).encode(),
                         f"missing field '{missing}'"),
         "not JSON": (b'{"org_id": "org1",', "not JSON"),
+        "too many digits": (b'{"org_id": 1' + b"0" * 5000 + b"}", "not JSON"),
         "not an object": (b'["org1"]', "expected a JSON object, got list"),
         "not UTF-8": (b'{"org_id": "\xc3\xa9\xff"}', "not UTF-8: byte 0xff"),
     }[fault]
