@@ -354,7 +354,7 @@ def split_cmd(ctx, profiles_path, splits_dir, ratios, seed, stratified):
 @click.option("--variant", type=click.Choice(prompts_mod.VARIANTS),
               default=_from_config(lambda c: c.variant))
 @click.option("--mode", default="sft", type=click.Choice(["sft", "inference"]))
-@click.option("--budget", type=int, default=_from_config(lambda c: c.budget),
+@click.option("--budget", type=click.IntRange(min=1), default=_from_config(lambda c: c.budget),
               help="Token budget per record.")
 @click.option("--balance/--no-balance", default=None,
               help="Class-balance before rendering (default: on for sft).")
@@ -374,6 +374,12 @@ def prompts_cmd(ctx, profiles_path, out_path, variant, mode, budget, balance,
                 balance_seed, fewshot_k, fewshot_seed, include_description,
                 leakage_guard, manifest_path):
     """Compile profiles into chat records (supervised or inference)."""
+    with _usage():
+        floor = prompts_mod.template_tokens(variant)
+        if budget < floor:
+            raise ValueError(
+                f"budget {budget} is below the {floor} tokens every {variant} record carries"
+            )
     _require_file(profiles_path, "run `ventureval features` first")
     if balance is None:
         balance = mode == "sft"
@@ -436,6 +442,8 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
     )
     with _usage():
         model_config.validate()
+        if not 0 <= threshold <= 1:  # NaN too
+            raise ValueError(f"--threshold must be in [0, 1], got {threshold}")
     train_path, test_path = (
         _require_file(splits_dir / f"{name}.jsonl", "run `ventureval split` first")
         for name in ("train", "test")

@@ -15,12 +15,13 @@ import random
 import re
 import statistics
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from typing import Optional
 
 from .errors import DataError
-from .ingest import CompanyStore, OrganizationRow
+from .ingest import SURROGATE_RE, CompanyStore, undecodable
 
 # Snapshot date the age feature is measured against; override per run.
 DEFAULT_REFERENCE_DATE = date(2025, 6, 11)
@@ -98,12 +99,9 @@ class CompanyProfile:
     raised_imputed: int
 
 
-def _executive_pattern(keywords) -> re.Pattern:
-    alternatives = "|".join(re.escape(k) for k in keywords)
-    return re.compile(rf"\b(?:{alternatives})\b", re.IGNORECASE)
-
-
-_DEFAULT_EXEC_PATTERN = _executive_pattern(EXECUTIVE_TITLE_KEYWORDS)
+_EXECUTIVE_RE = re.compile(
+    r"\b(?:" + "|".join(re.escape(k) for k in EXECUTIVE_TITLE_KEYWORDS) + r")\b", re.IGNORECASE
+)
 
 
 def compute_age(founded_on: Optional[date], reference_date: date) -> float:
@@ -123,80 +121,69 @@ def compute_age(founded_on: Optional[date], reference_date: date) -> float:
     return (reference_date - founded_on).days / DAYS_PER_YEAR
 
 
-def derive_label(org_id: str, store: CompanyStore) -> int:
-    """1 iff the company had an IPO or appears as acquiree in an acquisition."""
-    if store.ipos_by_org(org_id):
-        return 1
-    if store.acquisitions_of(org_id):
-        return 1
-    return 0
-
-
-def derive_profile(
-    org: OrganizationRow,
-    store: CompanyStore,
-    reference_date: date = DEFAULT_REFERENCE_DATE,
-    executive_keywords=None,
-) -> CompanyProfile:
-    """Derive the full engineered profile for one organization.
-
-    Age prefers the founding date and falls back to the record-creation
-    date; both absent gives the -1 sentinel. All other numeric features
-    impute missing inputs with zero.
-    """
-    date_source = org.founded_on if org.founded_on is not None else org.created_at
-    age = compute_age(date_source, reference_date)
-
-    rounds = store.rounds_by_org(org.org_id)
-    amounts = [r.raised_usd for r in rounds if r.raised_usd is not None]
-    total_raised = float(sum(amounts))
-
-    investor_ids = set()
-    for r in rounds:
-        for inv in store.investments_by_round(r.round_id):
-            investor_ids.add(inv.investor_id)
-
-    pattern = (
-        _DEFAULT_EXEC_PATTERN
-        if executive_keywords is None
-        else _executive_pattern(executive_keywords)
-    )
-    num_execs = sum(1 for job in store.jobs_by_org(org.org_id) if pattern.search(job.title))
-
-    had_ipo = 1 if store.ipos_by_org(org.org_id) else 0
-    was_acquired = 1 if store.acquisitions_of(org.org_id) else 0
-
-    return CompanyProfile(
-        org_id=org.org_id,
-        name=org.name,
-        description=org.description,
-        age_years=age,
-        total_raised_usd=total_raised,
-        num_funding_rounds=len(rounds),
-        num_investors=len(investor_ids),
-        num_acquisitions_made=len(store.acquisitions_made_by(org.org_id)),
-        num_executives=num_execs,
-        had_ipo=had_ipo,
-        was_acquired=was_acquired,
-        success=1 if (had_ipo or was_acquired) else 0,
-        age_imputed=1 if date_source is None else 0,
-        raised_imputed=1 if (rounds and not amounts) else 0,
-    )
-
-
 def derive_profiles(store: CompanyStore, reference_date: date = DEFAULT_REFERENCE_DATE):
     """Derive profiles for every organization, in load order.
+
+    Each table is read once and counted per organization id. Age prefers the
+    founding date and falls back to the record-creation date; both absent
+    gives the -1 sentinel. All other numeric features impute missing inputs
+    with zero. The label marks an IPO or an appearance as acquiree.
 
     Returns ``(profiles, anomalies)`` where anomalies lists
     ``(org_id, message)`` pairs for organizations skipped due to data
     anomalies (e.g. future-dated founding).
     """
+    n_rounds, amounts, orgs_by_round = {}, {}, {}
+    for r in store.funding_rounds:
+        n_rounds[r.org_id] = n_rounds.get(r.org_id, 0) + 1
+        # Listed in row order and added by sum(), whose float result a
+        # running total need not match (Python 3.12 compensates).
+        if r.raised_usd is not None:
+            amounts.setdefault(r.org_id, []).append(r.raised_usd)
+        orgs_by_round.setdefault(r.round_id, []).append(r.org_id)
+    # A round id shared by two organizations counts its investors for both.
+    investor_pairs = {
+        (org_id, inv.investor_id)
+        for inv in store.investments
+        for org_id in orgs_by_round.get(inv.round_id, ())
+    }
+    investors = Counter(org_id for org_id, _ in investor_pairs)
+    executives = Counter(job.org_id for job in store.jobs if _EXECUTIVE_RE.search(job.title))
+    public = {ipo.org_id for ipo in store.ipos}
+    acquired = {acq.acquiree_id for acq in store.acquisitions}
+    acquisitions_made = Counter(acq.acquirer_id for acq in store.acquisitions)
+
     profiles, anomalies = [], []
     for org in store.organizations:
+        org_id = org.org_id
+        date_source = org.founded_on if org.founded_on is not None else org.created_at
         try:
-            profiles.append(derive_profile(org, store, reference_date))
+            age = compute_age(date_source, reference_date)
         except DataError as exc:
-            anomalies.append((org.org_id, str(exc)))
+            anomalies.append((org_id, str(exc)))
+            continue
+        rounds = n_rounds.get(org_id, 0)
+        raised = amounts.get(org_id, ())
+        had_ipo = 1 if org_id in public else 0
+        was_acquired = 1 if org_id in acquired else 0
+        profiles.append(
+            CompanyProfile(
+                org_id=org_id,
+                name=org.name,
+                description=org.description,
+                age_years=age,
+                total_raised_usd=float(sum(raised)),
+                num_funding_rounds=rounds,
+                num_investors=investors.get(org_id, 0),
+                num_acquisitions_made=acquisitions_made.get(org_id, 0),
+                num_executives=executives.get(org_id, 0),
+                had_ipo=had_ipo,
+                was_acquired=was_acquired,
+                success=had_ipo | was_acquired,
+                age_imputed=1 if date_source is None else 0,
+                raised_imputed=1 if (rounds and not raised) else 0,
+            )
+        )
     return profiles, anomalies
 
 
@@ -246,19 +233,15 @@ class CorpusStats:
         }
 
 
-def corpus_stats(profiles, token_counter=None) -> CorpusStats:
-    """Class balance, description-length histogram and per-feature summary.
-
-    ``token_counter`` maps a string to a token count; defaults to the
-    deterministic counter used for prompt budgeting.
-    """
-    if token_counter is None:
-        from .prompts import count_tokens as token_counter  # no module-level cycle
+def corpus_stats(profiles) -> CorpusStats:
+    """Class balance, description-length histogram (in prompt-budget tokens)
+    and per-feature summary."""
+    from .prompts import count_tokens  # no module-level cycle
 
     edges = DESC_TOKEN_BUCKETS
     histogram = {_bucket_label(edges, i): 0 for i in range(len(edges))}
     for p in profiles:
-        n_tokens = token_counter(p.description)
+        n_tokens = count_tokens(p.description)
         idx = 0
         for i in range(len(edges)):
             if n_tokens >= edges[i]:
@@ -389,22 +372,15 @@ def write_profiles_jsonl(profiles, path) -> int:
     return count
 
 
-# A lone surrogate. Decoding with surrogateescape turns each byte that is not
-# UTF-8 into one (U+DC80-U+DCFF), and valid UTF-8 never decodes to one; a JSON
-# "\ud800" escape also yields one, which no UTF-8 output can hold.
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
-
-
 def _jsonl_lines(path):
     """``(line number, text)`` for each non-blank line of ``path``. A line
     that is not UTF-8 raises DataError naming the file and line."""
     # surrogateescape defers decode errors to the line that holds them.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            undecodable = not line.isascii() and _SURROGATE_RE.search(line)
-            if undecodable:
-                byte = ord(undecodable.group()) - 0xDC00
-                raise DataError(f"{path}:{lineno}: not UTF-8: byte 0x{byte:02x}")
+            reason = undecodable(line)
+            if reason:
+                raise DataError(f"{path}:{lineno}: {reason}")
             if line.strip():
                 yield lineno, line
 
@@ -436,7 +412,7 @@ def _check_text(name: str, value) -> None:
     a lone surrogate."""
     if type(value) is not str:
         raise ValueError(f"{name} is not a string: {value!r}")
-    if not value.isascii() and _SURROGATE_RE.search(value):
+    if not value.isascii() and SURROGATE_RE.search(value):
         raise ValueError(f"{name} holds a lone surrogate: {value!r}")
 
 

@@ -1,4 +1,4 @@
-"""Loading and indexing of relational company CSV tables.
+"""Loading and integrity checking of relational company CSV tables.
 
 Six table kinds are understood: organizations, funding rounds, investments,
 IPOs, acquisitions and jobs. Each loads through a logical->physical column
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -180,6 +181,19 @@ _COLUMN_TYPES = {
 }
 
 
+# A lone surrogate. Decoding with surrogateescape turns each byte that is not
+# UTF-8 into one (U+DC80-U+DCFF), and valid UTF-8 never decodes to one; a JSON
+# "\ud800" escape also yields one, which no UTF-8 output can hold.
+SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def undecodable(text: str) -> Optional[str]:
+    """``"not UTF-8: byte 0x.."`` for the first byte that decoding ``text``
+    with surrogateescape could not decode, or None."""
+    found = not text.isascii() and SURROGATE_RE.search(text)
+    return f"not UTF-8: byte 0x{ord(found.group()) - 0xDC00:02x}" if found else None
+
+
 def _unique(values: list, seen: set, column: str) -> None:
     if values[-1] in seen:
         raise ValueError(f"duplicate {column} {values[-1]!r}")
@@ -223,7 +237,8 @@ def load_table(path, kind, mapping=None, strict=False):
     physical = _physical_columns(mapping or default_mapping(), kind)
     path = Path(path)
     try:
-        with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+        # surrogateescape defers decode errors to the record that holds them.
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -244,6 +259,10 @@ def load_table(path, kind, mapping=None, strict=False):
                 if not record:
                     continue
                 try:
+                    if not all(map(str.isascii, record)):
+                        reason = undecodable("".join(record))
+                        if reason:
+                            raise ValueError(reason)
                     values = []
                     for pos, column, parse, rule in columns:
                         values.append(parse(record[pos] if pos < len(record) else "", column))
@@ -275,12 +294,24 @@ def write_table(rows, path, kind, mapping=None) -> None:
         writer.writerows(rows)
 
 
+# Each foreign key once: (table, column) -> the (table, key column) it refers
+# to, in the order ``integrity["dangling"]`` reports them.
+REFERENCES = {
+    ("funding_rounds", "org_id"): ("organizations", "org_id"),
+    ("investments", "round_id"): ("funding_rounds", "round_id"),
+    ("ipos", "org_id"): ("organizations", "org_id"),
+    ("acquisitions", "acquiree_id"): ("organizations", "org_id"),
+    ("acquisitions", "acquirer_id"): ("organizations", "org_id"),
+    ("jobs", "org_id"): ("organizations", "org_id"),
+}
+
+
 @dataclass
 class CompanyStore:
-    """Immutable indexed view over the six loaded tables.
+    """The six loaded tables, in load order.
 
-    Lookups for unknown keys return empty lists. ``integrity`` counts
-    dangling foreign keys per relation; dangling rows stay in the row lists.
+    ``integrity`` counts dangling foreign keys per reference; dangling rows
+    stay in the row lists.
     """
 
     organizations: list = field(default_factory=list)
@@ -289,36 +320,7 @@ class CompanyStore:
     ipos: list = field(default_factory=list)
     acquisitions: list = field(default_factory=list)
     jobs: list = field(default_factory=list)
-
-    _rounds_by_org: dict = field(default_factory=dict, repr=False)
-    _investments_by_round: dict = field(default_factory=dict, repr=False)
-    _ipos_by_org: dict = field(default_factory=dict, repr=False)
-    _acq_by_acquiree: dict = field(default_factory=dict, repr=False)
-    _acq_by_acquirer: dict = field(default_factory=dict, repr=False)
-    _jobs_by_org: dict = field(default_factory=dict, repr=False)
-    _org_by_id: dict = field(default_factory=dict, repr=False)
     integrity: dict = field(default_factory=dict)
-
-    def organization(self, org_id):
-        return self._org_by_id.get(org_id)
-
-    def rounds_by_org(self, org_id):
-        return self._rounds_by_org.get(org_id, [])
-
-    def investments_by_round(self, round_id):
-        return self._investments_by_round.get(round_id, [])
-
-    def ipos_by_org(self, org_id):
-        return self._ipos_by_org.get(org_id, [])
-
-    def acquisitions_of(self, acquiree_id):
-        return self._acq_by_acquiree.get(acquiree_id, [])
-
-    def acquisitions_made_by(self, acquirer_id):
-        return self._acq_by_acquirer.get(acquirer_id, [])
-
-    def jobs_by_org(self, org_id):
-        return self._jobs_by_org.get(org_id, [])
 
 
 def build_store(
@@ -329,7 +331,7 @@ def build_store(
     acquisitions=(),
     jobs=(),
 ) -> CompanyStore:
-    """Index loaded rows and tally referential-integrity problems.
+    """Collect loaded rows and tally referential-integrity problems.
 
     Nothing here is fatal: rows referencing unknown keys are kept and
     reported in ``store.integrity`` under ``<table>.<column>`` keys.
@@ -342,43 +344,16 @@ def build_store(
         acquisitions=list(acquisitions),
         jobs=list(jobs),
     )
-    store._org_by_id = {o.org_id: o for o in store.organizations}
-    known_orgs = set(store._org_by_id)
-    known_rounds = {r.round_id for r in store.funding_rounds}
-
-    dangling = {
-        "funding_rounds.org_id": 0,
-        "investments.round_id": 0,
-        "ipos.org_id": 0,
-        "acquisitions.acquiree_id": 0,
-        "acquisitions.acquirer_id": 0,
-        "jobs.org_id": 0,
+    known = {
+        (table, key): {getattr(row, key) for row in getattr(store, table)}
+        for table, key in set(REFERENCES.values())
     }
-
-    for r in store.funding_rounds:
-        store._rounds_by_org.setdefault(r.org_id, []).append(r)
-        if r.org_id not in known_orgs:
-            dangling["funding_rounds.org_id"] += 1
-    for inv in store.investments:
-        store._investments_by_round.setdefault(inv.round_id, []).append(inv)
-        if inv.round_id not in known_rounds:
-            dangling["investments.round_id"] += 1
-    for ipo in store.ipos:
-        store._ipos_by_org.setdefault(ipo.org_id, []).append(ipo)
-        if ipo.org_id not in known_orgs:
-            dangling["ipos.org_id"] += 1
-    for acq in store.acquisitions:
-        store._acq_by_acquiree.setdefault(acq.acquiree_id, []).append(acq)
-        store._acq_by_acquirer.setdefault(acq.acquirer_id, []).append(acq)
-        if acq.acquiree_id not in known_orgs:
-            dangling["acquisitions.acquiree_id"] += 1
-        if acq.acquirer_id not in known_orgs:
-            dangling["acquisitions.acquirer_id"] += 1
-    for job in store.jobs:
-        store._jobs_by_org.setdefault(job.org_id, []).append(job)
-        if job.org_id not in known_orgs:
-            dangling["jobs.org_id"] += 1
-
+    dangling = {}
+    for (table, column), target in REFERENCES.items():
+        keys = known[target]
+        dangling[f"{table}.{column}"] = sum(
+            1 for row in getattr(store, table) if getattr(row, column) not in keys
+        )
     store.integrity = {
         "dangling": dangling,
         "total_dangling": sum(dangling.values()),
@@ -395,7 +370,5 @@ def load_directory(data_dir, mapping=None, strict=False):
     loaded, errors = {}, {}
     for kind in TABLE_KINDS:
         path = Path(data_dir) / f"{kind}.csv"
-        if not path.exists():
-            raise FileNotFoundError(f"missing input table: {path}")
         loaded[kind], errors[kind] = load_table(path, kind, mapping=mapping, strict=strict)
     return build_store(**loaded), errors

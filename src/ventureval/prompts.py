@@ -252,7 +252,6 @@ def render_prompt(
     exemplars=(),
     include_description: bool = True,
     leakage_guard: bool = True,
-    split: str = "",
 ) -> ChatRecord:
     """Compile one profile into a chat record.
 
@@ -281,8 +280,6 @@ def render_prompt(
     messages.append(ChatMessage("user", user_text))
 
     metadata = {"org_id": profile.org_id, "variant": variant}
-    if split:
-        metadata["split"] = split
 
     if mode == "sft":
         justification = template_justification(profile)
@@ -339,6 +336,13 @@ def parse_chat(text: str) -> list:
     if pos != len(text):
         raise ValueError(f"unexpected trailing text at offset {pos}")
     return messages
+
+
+def template_tokens(variant: str) -> int:
+    """Tokens that every record of ``variant`` carries: its template text and
+    the chat framing of the user turn. No smaller budget fits a record."""
+    user = ChatMessage("user", load_template(variant).format(profile=""))
+    return count_tokens(serialize_chat(ChatRecord(messages=[user])))
 
 
 def enforce_budget(record: ChatRecord, max_tokens: int = MAX_PROMPT_TOKENS) -> ChatRecord:

@@ -18,7 +18,7 @@ from conftest import CONFIG_DIR, GOLDEN_PROFILE
 from ventureval.cli import main
 from ventureval.config import RunConfig, derive_seed
 from ventureval.features import write_profiles_jsonl
-from ventureval.prompts import ChatMessage, ChatRecord, emit_jsonl
+from ventureval.prompts import ChatMessage, ChatRecord, emit_jsonl, template_tokens
 
 runner = CliRunner()
 
@@ -284,6 +284,40 @@ def test_train_baseline_does_not_need_a_val_split(tmp_path):
     write_profiles_jsonl(profiles[:4], splits / "test.jsonl")
     run_ok("train-baseline", "--splits", str(splits), "--out", str(tmp_path / "baseline"))
     assert (tmp_path / "baseline" / "model.json").exists()
+
+
+@pytest.mark.parametrize("threshold", ["0", "1"])
+def test_threshold_accepts_both_ends(tmp_path, threshold):
+    splits = tmp_path / "splits"
+    splits.mkdir()
+    profiles = [dataclasses.replace(GOLDEN_PROFILE, org_id=f"org{i}", success=i % 2)
+                for i in range(8)]
+    write_profiles_jsonl(profiles, splits / "train.jsonl")
+    write_profiles_jsonl(profiles, splits / "test.jsonl")
+    run_ok("train-baseline", "--splits", str(splits), "--out", str(tmp_path / "baseline"),
+           "--rounds", "2", "--threshold", threshold)
+
+
+@pytest.mark.parametrize("args,config", [
+    (["--variant", "V1", "--budget", str(template_tokens("V1") - 1)], ""),
+    (["--budget", str(template_tokens("V4") - 1)], ""),
+    ([], "budget = 0\n"),
+], ids=["V1-flag", "V4-flag", "config-0"])
+def test_budget_below_every_record_is_usage_error(tmp_path, args, config):
+    """A budget that no record of the variant can fit is a bad setting, not a
+    data error on the first record."""
+    profiles = tmp_path / "profiles.jsonl"
+    write_profiles_jsonl([GOLDEN_PROFILE], profiles)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(config, encoding="utf-8")
+    result = invoke("--config", str(config_path), "prompts", "--profiles", str(profiles),
+                    "--no-balance", "--out", str(tmp_path / "prompts.jsonl"), *args)
+    assert result.exit_code == 2, result.output
+    if args:
+        variant = args[1] if args[0] == "--variant" else "V4"
+        assert f"below the {template_tokens(variant)} tokens every {variant} record" in result.output
+    else:
+        assert "0 is not in the range x>=1" in result.output
 
 
 class ScriptedEvalHandler(BaseHTTPRequestHandler):
@@ -715,8 +749,13 @@ def test_mistyped_synth_config_is_usage_error(tmp_path, field, value, shown):
     ["prompts", "--profiles", "{profiles}", "--fewshot-k", "0"],
     ["train-baseline", "--rounds", "0"],
     ["train-baseline", "--reg-lambda", "nan"],
+    ["train-baseline", "--threshold", "nan"],
+    ["train-baseline", "--threshold", "-0.1"],
+    ["train-baseline", "--threshold", "1.5"],
+    ["prompts", "--profiles", "{profiles}", "--budget", "0"],
 ], ids=["input-is-dir", "config-is-dir", "synth-config-is-dir", "mapping-is-dir",
-        "nan-ratio", "bad-date", "fewshot-0", "rounds-0", "reg-lambda-nan"])
+        "nan-ratio", "bad-date", "fewshot-0", "rounds-0", "reg-lambda-nan",
+        "threshold-nan", "threshold-negative", "threshold-above-1", "budget-0"])
 def test_bad_command_line_is_usage_error(tmp_path, args):
     profiles = tmp_path / "profiles.jsonl"
     write_profiles_jsonl([GOLDEN_PROFILE] * 4, profiles)

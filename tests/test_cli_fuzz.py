@@ -32,9 +32,9 @@ OTHER_JSON_VALUES = [None, True, False, 0, 2, -1, 1.5, "", "x", [], [1], {}, {"a
 
 
 @st.composite
-def mutated(draw, data: bytes, jsonl: bool):
+def mutated(draw, data: bytes, jsonl: bool, kind=None):
     kinds = ["truncate", "flip", "insert", "not UTF-8", "drop line", "duplicate line"]
-    kind = draw(st.sampled_from(kinds + ["retype"] if jsonl else kinds))
+    kind = kind or draw(st.sampled_from(kinds + ["retype"] if jsonl else kinds))
     if kind == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
     if kind == "flip":
@@ -95,17 +95,59 @@ def raw_tables(tmp_path_factory):
     return {kind: (data_dir / f"{kind}.csv").read_bytes() for kind in TABLE_KINDS}
 
 
+def ingest_mutated(raw_tables, kind, content, tmp):
+    """Run ingest on the raw tables with ``kind`` replaced by ``content``."""
+    for name, table in raw_tables.items():
+        (tmp / f"{name}.csv").write_bytes(table)
+    (tmp / f"{kind}.csv").write_bytes(content)
+    return runner.invoke(main, ["ingest", "--data-dir", str(tmp), "--out", str(tmp / "out")])
+
+
 @FUZZ
 @given(data=st.data())
 def test_ingest_survives_a_mutated_table(raw_tables, data):
     kind = data.draw(st.sampled_from(TABLE_KINDS))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, content in raw_tables.items():
+        result = ingest_mutated(raw_tables, kind, data.draw(mutated(raw_tables[kind], jsonl=False)), tmp)
+        assert_exit_0_or_3(result, tmp / f"{kind}.csv")
+
+
+@FUZZ
+@given(data=st.data())
+def test_ingest_reports_bytes_that_are_not_utf8(raw_tables, data):
+    """Such a byte fails its line as a row error, or the header with exit 3."""
+    kind = data.draw(st.sampled_from(TABLE_KINDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        content = data.draw(mutated(raw_tables[kind], jsonl=False, kind="not UTF-8"))
+        result = ingest_mutated(raw_tables, kind, content, tmp)
+        assert_exit_0_or_3(result, tmp / f"{kind}.csv")
+        if result.exit_code == 0:
+            summary = json.loads((tmp / "out" / "ingest_summary.json").read_text(encoding="utf-8"))
+            reasons = [e["reason"] for e in summary["row_errors"][kind]]
+            assert any(r.startswith("not UTF-8: byte 0x") for r in reasons), reasons
+
+
+@pytest.fixture(scope="module")
+def ingested_tables(raw_tables, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ingest")
+    result = ingest_mutated(raw_tables, "jobs", raw_tables["jobs"], tmp)
+    assert result.exit_code == 0, result.output
+    return {kind: (tmp / "out" / "ingested" / f"{kind}.csv").read_bytes() for kind in TABLE_KINDS}
+
+
+@FUZZ
+@given(data=st.data())
+def test_features_survives_a_mutated_ingested_table(ingested_tables, data):
+    kind = data.draw(st.sampled_from(TABLE_KINDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, content in ingested_tables.items():
             (tmp / f"{name}.csv").write_bytes(content)
         bad = tmp / f"{kind}.csv"
-        bad.write_bytes(data.draw(mutated(raw_tables[kind], jsonl=False)))
-        result = runner.invoke(main, ["ingest", "--data-dir", str(tmp), "--out", str(tmp / "out")])
+        bad.write_bytes(data.draw(mutated(ingested_tables[kind], jsonl=False)))
+        result = runner.invoke(main, ["features", "--ingested", str(tmp), "--out", str(tmp / "out")])
         assert_exit_0_or_3(result, bad)
 
 

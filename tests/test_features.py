@@ -15,8 +15,6 @@ from ventureval.features import (
     balance_dataset,
     compute_age,
     corpus_stats,
-    derive_label,
-    derive_profile,
     derive_profiles,
     feature_vector,
     read_profiles_jsonl,
@@ -33,6 +31,17 @@ from ventureval.ingest import (
 )
 
 REF = date(2025, 6, 11)
+
+
+def profiles_by_id(store, reference_date=REF):
+    profiles, anomalies = derive_profiles(store, reference_date)
+    assert not anomalies
+    return {p.org_id: p for p in profiles}
+
+
+def only_profile(store):
+    (profile,) = profiles_by_id(store).values()
+    return profile
 
 
 def org(org_id="c1", founded=None, created=None, name="Org", description=""):
@@ -57,8 +66,7 @@ def test_future_founding_is_anomaly():
 
 
 def test_profile_all_defaults():
-    store = build_store([org()])
-    p = derive_profile(store.organizations[0], store, REF)
+    p = only_profile(build_store([org()]))
     assert p.total_raised_usd == 0.0
     assert p.num_funding_rounds == 0
     assert p.num_investors == 0
@@ -69,7 +77,7 @@ def test_profile_all_defaults():
 
 
 def test_profile_funding_and_distinct_investors(small_store):
-    p = derive_profile(small_store.organization("c1"), small_store, REF)
+    p = profiles_by_id(small_store)["c1"]
     assert p.total_raised_usd == 3_500_000.0
     assert p.num_funding_rounds == 2
     assert p.num_investors == 2  # invA appears in both rounds
@@ -78,21 +86,23 @@ def test_profile_funding_and_distinct_investors(small_store):
 
 
 def test_acquirer_role_does_not_mark_success(small_store):
-    p = derive_profile(small_store.organization("c2"), small_store, REF)
+    p = profiles_by_id(small_store)["c2"]
     assert p.num_acquisitions_made == 2
     assert p.was_acquired == 0
     assert p.success == 0
 
 
 def test_labels(small_store):
-    assert derive_label("c1", small_store) == 1  # IPO row
-    assert derive_label("c3", small_store) == 0  # no events
-    assert derive_label("c2", small_store) == 0  # acquirer only
+    profiles = profiles_by_id(small_store)
+    assert profiles["c1"].success == 1  # IPO row
+    assert profiles["c3"].success == 0  # no events
+    assert profiles["c2"].success == 0  # acquirer only
+    acquired = build_store([org("c1"), org("c2")], acquisitions=[AcquisitionRow("c1", "c2", None)])
+    assert profiles_by_id(acquired)["c1"].success == 1  # acquiree
 
 
 def test_age_falls_back_to_created_at():
-    store = build_store([org(founded=None, created=date(2023, 6, 11))])
-    p = derive_profile(store.organizations[0], store, REF)
+    p = only_profile(build_store([org(founded=None, created=date(2023, 6, 11))]))
     assert abs(p.age_years - 2.0) < 0.01
     assert p.age_imputed == 0
 
@@ -109,8 +119,7 @@ def test_executive_title_matching():
         ("Sales Associate", False),
     ]
     jobs = [JobRow("c1", f"p{i}", t) for i, (t, _) in enumerate(titles_expected)]
-    store = build_store([org()], jobs=jobs)
-    p = derive_profile(store.organizations[0], store, REF)
+    p = only_profile(build_store([org()], jobs=jobs))
     assert p.num_executives == sum(1 for _, m in titles_expected if m)
 
 
@@ -167,8 +176,7 @@ def test_adding_rounds_never_decreases_funding_features():
                 float(rng.randrange(10**6)) if rng.random() < 0.7 else None,
             )
         )
-        store = build_store([org("c1")], list(rounds))
-        p = derive_profile(store.organizations[0], store, REF)
+        p = only_profile(build_store([org("c1")], list(rounds)))
         if previous is not None:
             assert p.total_raised_usd >= previous.total_raised_usd
             assert p.num_funding_rounds == previous.num_funding_rounds + 1
@@ -182,8 +190,7 @@ def test_feature_vector_excludes_event_flags(golden_profile):
 
 
 def make_profile(i, success, description="", raised=0.0):
-    store = build_store([org(f"c{i}", name=f"Org {i}", description=description)])
-    base = derive_profile(store.organizations[0], store, REF)
+    base = only_profile(build_store([org(f"c{i}", name=f"Org {i}", description=description)]))
     return base.__class__(
         **{
             **{f: getattr(base, f) for f in base.__dataclass_fields__},

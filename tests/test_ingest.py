@@ -1,4 +1,4 @@
-"""Table loading, validation, round-trips and store indexing."""
+"""Table loading, validation, round-trips and store integrity."""
 
 import random
 import tempfile
@@ -16,6 +16,7 @@ from ventureval.ingest import (
     TABLE_KINDS,
     FundingRoundRow,
     OrganizationRow,
+    RowError,
     build_store,
     default_mapping,
     identity_mapping,
@@ -94,6 +95,20 @@ def test_non_utf8_mapping_is_a_data_error(tmp_path):
     path.write_bytes(b"organizations.name = \xffname\n")
     with pytest.raises(DataError, match=f"{path}: not UTF-8"):
         load_mapping_file(path)
+
+
+def test_undecodable_line_is_a_row_error(tmp_path):
+    """A byte that is not UTF-8 fails its own line, keeping the line number,
+    instead of becoming a replacement character in a key."""
+    path = tmp_path / "jobs.csv"
+    path.write_bytes(b"org_uuid,person_uuid,title\n"
+                     b"org1,p1,CEO\norg\xff00000,p2,CTO\norg2,p3,Caf\xc3\xa9 owner\n")
+    rows, errors = load_table(path, "jobs")
+    assert [r.person_id for r in rows] == ["p1", "p3"]
+    assert rows[1].title == "Caf\u00e9 owner"
+    assert errors == [RowError(line=3, reason="not UTF-8: byte 0xff")]
+    with pytest.raises(DataError, match=f"^{path}:3: not UTF-8: byte 0xff$"):
+        load_table(path, "jobs", strict=True)
 
 
 def test_strict_mode_promotes_row_errors(tmp_path):
@@ -242,20 +257,10 @@ def test_write_then_load_gives_back_the_rows(kind, mapping, data):
     assert reloaded == rows
 
 
-def test_empty_store_lookups_return_empty():
+def test_empty_store_counts_nothing():
     store = build_store([])
-    assert store.rounds_by_org("nope") == []
-    assert store.investments_by_round("nope") == []
-    assert store.ipos_by_org("nope") == []
-    assert store.acquisitions_of("nope") == []
-    assert store.acquisitions_made_by("nope") == []
-    assert store.jobs_by_org("nope") == []
     assert store.integrity["total_dangling"] == 0
-
-
-def test_rounds_index(small_store):
-    round_ids = [r.round_id for r in small_store.rounds_by_org("c1")]
-    assert round_ids == ["r1", "r2"]
+    assert set(store.integrity["row_counts"].values()) == {0}
 
 
 def test_dangling_round_reported():
@@ -264,21 +269,7 @@ def test_dangling_round_reported():
     store = build_store(orgs, rounds)
     assert store.integrity["dangling"]["funding_rounds.org_id"] == 1
     # dangling rows are retained, not dropped
-    assert store.rounds_by_org("ghost")[0].round_id == "r1"
-
-
-def test_index_soundness_random():
-    rng = random.Random(99)
-    orgs = [OrganizationRow(f"c{i}", f"Org {i}", "", None, None) for i in range(30)]
-    rounds = [
-        FundingRoundRow(f"r{i}", f"c{rng.randrange(30)}", None, float(i))
-        for i in range(300)
-    ]
-    store = build_store(orgs, rounds)
-    seen = []
-    for org in orgs:
-        seen.extend(store.rounds_by_org(org.org_id))
-    assert sorted(r.round_id for r in seen) == sorted(r.round_id for r in rounds)
+    assert store.funding_rounds == rounds
 
 
 def test_mapping_file_overrides(tmp_path):

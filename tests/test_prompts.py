@@ -32,6 +32,7 @@ from ventureval.prompts import (
     sanitize_text,
     serialize_chat,
     template_justification,
+    template_tokens,
     training_manifest,
 )
 
@@ -442,6 +443,7 @@ def test_closed_form_budget_matches_search(name, description, variant, mode,
     total = count_tokens(serialize_chat(record))
     # From infeasible (below the tokens outside the description) to ample.
     fixed = total - count_tokens(rendered)
+    assert template_tokens(variant) <= fixed  # prompts rejects only budgets no record fits
     budget = data.draw(st.one_of(st.integers(fixed - 3, total + 3), st.integers(0, total + 3)))
 
     expected = budget_outcome(reference_enforce_budget, record, budget)
