@@ -1,9 +1,8 @@
 """HTTP transport and retry loop with exponential backoff and full jitter.
 
-Shared by the chat-completion client and the HTTP embedding provider so
-both send requests the same way and follow one policy: retry on
-connection failures, timeouts, 429 and 5xx; fail immediately on any other
-4xx.
+The chat-completion client sends every request through it and follows
+one policy: retry on connection failures, timeouts, 429 and 5xx; fail
+immediately on any other 4xx.
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ from pathlib import Path
 
 import click
 
-# The data stages need none of the modules that load NumPy (client,
-# gbdt, metrics, synth), so the commands that use those import them.
+# The data stages need none of the modules that load NumPy (gbdt, synth)
+# or speak HTTP (client), so the commands that use those import them.
 from . import config as config_mod
 from . import features as features_mod
 from . import ingest as ingest_mod
@@ -281,8 +281,10 @@ def features_cmd(ctx, ingested_dir, reference_date, out_dir):
     for kind in ingest_mod.TABLE_KINDS:
         _require_file(ingested_dir / f"{kind}.csv", "run `ventureval ingest` first")
 
+    # The tables are ingest's own output, so a row that fails to parse was
+    # damaged since: stop on it rather than drop a company.
     store, _ = ingest_mod.load_directory(
-        ingested_dir, mapping=ingest_mod.identity_mapping()
+        ingested_dir, mapping=ingest_mod.identity_mapping(), strict=True
     )
     profiles, anomalies = features_mod.derive_profiles(store, reference)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -438,7 +440,6 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
         reg_lambda=reg_lambda,
         gamma=gamma,
         min_child_weight=min_child_weight,
-        seed=derive_seed(ctx.obj["config"].seed, "baseline"),
     )
     with _usage():
         model_config.validate()

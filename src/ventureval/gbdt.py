@@ -38,7 +38,6 @@ class GbdtConfig:
     reg_lambda: float = 1.0
     gamma: float = 0.0
     min_child_weight: float = 1.0
-    seed: int = 0
 
     def validate(self) -> None:
         if self.n_rounds < 1:
@@ -220,19 +219,6 @@ def predict_margin(model: GbdtModel, X) -> np.ndarray:
     return margin
 
 
-def predict_proba(model: GbdtModel, x) -> float:
-    """Success probability for a single feature vector; strictly in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("predict_proba takes a single feature vector")
-    margin = predict_margin(model, x[None, :])
-    return float(_clip_proba(_sigmoid(margin))[0])
-
-
-def predict(model: GbdtModel, x, threshold: float = 0.5) -> int:
-    return 1 if predict_proba(model, x) >= threshold else 0
-
-
 def predict_proba_many(model: GbdtModel, X) -> np.ndarray:
     return _clip_proba(_sigmoid(predict_margin(model, X)))
 
@@ -276,7 +262,6 @@ def to_json(model: GbdtModel) -> str:
             "reg_lambda": model.config.reg_lambda,
             "gamma": model.config.gamma,
             "min_child_weight": model.config.min_child_weight,
-            "seed": model.config.seed,
         },
         "trees": [_node_to_dict(t) for t in model.trees],
     }
@@ -284,13 +269,16 @@ def to_json(model: GbdtModel) -> str:
 
 
 def from_json(text: str) -> GbdtModel:
+    """Inverse of ``to_json``. A ``config.seed``, which older models carry
+    although training never used it, is dropped."""
     obj = json.loads(text)
     if obj.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format: {obj.get('format_version')!r}")
+    config = {k: v for k, v in obj["config"].items() if k != "seed"}
     return GbdtModel(
         base_score=float(obj["base_score"]),
         trees=[_node_from_dict(t) for t in obj["trees"]],
-        config=GbdtConfig(**obj["config"]),
+        config=GbdtConfig(**config),
         n_features=int(obj["n_features"]),
     )
 
@@ -299,7 +287,3 @@ def save_model(model: GbdtModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json(model))
 
-
-def load_model(path) -> GbdtModel:
-    with open(path, encoding="utf-8") as fh:
-        return from_json(fh.read())

@@ -1,24 +1,24 @@
 """Classification metrics and the greedy embedding-match text score.
 
-The text score consumes per-token embeddings supplied from outside (an
-HTTP provider or a fixture file); no encoder lives in this package.
-Precision averages each candidate token's best cosine match against the
-reference, recall mirrors it, and F1 is their harmonic mean. Zero-valued
-denominators follow the usual 0-convention throughout.
+The text score consumes per-token embeddings that the caller supplies; no
+encoder or embedding provider lives in this package. Precision averages
+each candidate token's best cosine match against the reference, recall
+mirrors it, and F1 is their harmonic mean. Zero-valued denominators follow
+the usual 0-convention throughout.
+
+NumPy is imported where the text score builds arrays, so the
+classification metrics, and with them ``eval-endpoint`` and ``score``,
+never load it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from ._retry import post_json, run_with_retries
-from .errors import DataError, ProtocolError
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,8 @@ class TokenEmbeddings:
     idf: Optional[np.ndarray] = None
 
     def validate(self) -> None:
+        import numpy as np
+
         if not self.tokens:
             raise ValueError("token list is empty")
         vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -144,6 +146,8 @@ class TextScore:
 
 
 def _normalized(emb: TokenEmbeddings) -> np.ndarray:
+    import numpy as np
+
     matrix = np.asarray(emb.vectors, dtype=np.float64)
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0):
@@ -152,6 +156,8 @@ def _normalized(emb: TokenEmbeddings) -> np.ndarray:
 
 
 def _weighted_mean(values: np.ndarray, weights: Optional[np.ndarray]) -> float:
+    import numpy as np
+
     if weights is None:
         return float(values.mean())
     weights = np.asarray(weights, dtype=np.float64)
@@ -215,85 +221,8 @@ def idf_table(reference_token_lists) -> IdfTable:
 
 def apply_idf(emb: TokenEmbeddings, table: IdfTable) -> TokenEmbeddings:
     """Attach idf weights to an embedding set."""
+    import numpy as np
+
     weights = np.array([table.weight(t) for t in emb.tokens], dtype=np.float64)
     return TokenEmbeddings(tokens=emb.tokens, vectors=emb.vectors, idf=weights)
 
-
-class EmbeddingProvider:
-    """Base class handling the per-text cache; subclasses fetch."""
-
-    def __init__(self):
-        self._cache: dict = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def fetch(self, text: str) -> TokenEmbeddings:
-        if not text:
-            raise ValueError("cannot embed empty text")
-        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if key in self._cache:
-            self.cache_hits += 1
-            return self._cache[key]
-        self.cache_misses += 1
-        emb = self._retrieve(text)
-        emb.validate()
-        self._cache[key] = emb
-        return emb
-
-    def _retrieve(self, text: str) -> TokenEmbeddings:
-        raise NotImplementedError
-
-
-class FixtureEmbeddingProvider(EmbeddingProvider):
-    """Serves embeddings from a JSONL fixture of {text, tokens, vectors}."""
-
-    def __init__(self, path):
-        super().__init__()
-        self._by_text = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                self._by_text[obj["text"]] = TokenEmbeddings(
-                    tokens=list(obj["tokens"]),
-                    vectors=np.asarray(obj["vectors"], dtype=np.float64),
-                )
-
-    def _retrieve(self, text: str) -> TokenEmbeddings:
-        if text not in self._by_text:
-            raise DataError(f"no fixture embedding for text {text[:60]!r}")
-        return self._by_text[text]
-
-
-class HttpEmbeddingProvider(EmbeddingProvider):
-    """POSTs {text} to an endpoint returning {tokens, vectors}."""
-
-    def __init__(self, url, timeout_s=60.0, max_retries=3, transport=None, sleep=None, rng=None):
-        super().__init__()
-        self.url = url
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self._transport = transport or post_json
-        self._sleep = sleep
-        self._rng = rng
-
-    def _retrieve(self, text: str) -> TokenEmbeddings:
-        def send():
-            return self._transport(self.url, {"text": text}, self.timeout_s)
-
-        kwargs = {}
-        if self._sleep is not None:
-            kwargs["sleep"] = self._sleep
-        if self._rng is not None:
-            kwargs["rng"] = self._rng
-        body, _ = run_with_retries(send, self.max_retries, **kwargs)
-        try:
-            obj = json.loads(body)
-            return TokenEmbeddings(
-                tokens=list(obj["tokens"]),
-                vectors=np.asarray(obj["vectors"], dtype=np.float64),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ProtocolError(f"malformed embedding response: {exc}")

@@ -318,26 +318,6 @@ def serialize_chat(record: ChatRecord) -> str:
     return "".join(parts)
 
 
-_CHAT_RE = re.compile(
-    re.escape(IM_START) + r"(system|user|assistant)\n(.*?)" + re.escape(IM_END) + "\n",
-    re.DOTALL,
-)
-
-
-def parse_chat(text: str) -> list:
-    """Inverse of serialize_chat."""
-    messages = []
-    pos = 0
-    for m in _CHAT_RE.finditer(text):
-        if m.start() != pos:
-            raise ValueError(f"unexpected text outside delimiters at offset {pos}")
-        messages.append(ChatMessage(m.group(1), m.group(2)))
-        pos = m.end()
-    if pos != len(text):
-        raise ValueError(f"unexpected trailing text at offset {pos}")
-    return messages
-
-
 def template_tokens(variant: str) -> int:
     """Tokens that every record of ``variant`` carries: its template text and
     the chat framing of the user turn. No smaller budget fits a record."""

@@ -160,10 +160,11 @@ def run_python(code, *args, path=(SRC_DIR,)):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_data_stages_never_load_numpy(tmp_path):
+def test_data_stages_never_load_numpy(tmp_path, oracle_server):
     data_dir, out_dir = tmp_path / "data", tmp_path / "out"
     run_ok("synth", "--synth-config", str(CONFIG_DIR / "synth_threshold.json"),
            "--out", str(data_dir), "--n", "60", "--seed", "5")
+    OracleHandler.labels_by_name = load_labels_by_name(data_dir)
     splits = out_dir / "splits"
     for args in (
         ["ingest", "--data-dir", data_dir, "--out", out_dir],
@@ -174,6 +175,11 @@ def test_data_stages_never_load_numpy(tmp_path):
          "--out", out_dir / "train_prompts.jsonl"],
         ["prompts", "--profiles", splits / "test.jsonl", "--mode", "inference", "--budget", 150,
          "--out", out_dir / "test_prompts.jsonl"],
+        ["eval-endpoint", "--dataset", out_dir / "test_prompts.jsonl",
+         "--base-url", f"http://127.0.0.1:{oracle_server.server_address[1]}",
+         "--out", out_dir / "eval"],
+        ["score", "--audit", out_dir / "eval" / "audit.jsonl",
+         "--dataset", out_dir / "test_prompts.jsonl", "--out", out_dir / "rescore.json"],
     ):
         result = run_python(NUMPY_PROBE, *args)
         assert result.returncode == 0, result.stderr
@@ -242,6 +248,18 @@ def test_strict_ingest_exits_with_data_error(tmp_path):
     result = invoke("ingest", "--data-dir", str(data_dir),
                     "--out", str(tmp_path / "out"), "--strict")
     assert result.exit_code == 3
+
+
+def test_features_stops_on_a_damaged_ingested_row(tmp_path):
+    data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+    run_ok("synth", "--synth-config", str(CONFIG_DIR / "synth_threshold.json"),
+           "--out", str(data_dir), "--n", "10", "--seed", "4")
+    run_ok("ingest", "--data-dir", str(data_dir), "--out", str(out_dir))
+    corrupt_first_founded_date(out_dir / "ingested")
+    result = invoke("features", "--out", str(out_dir))
+    assert result.exit_code == 3, result.output
+    assert f"{out_dir / 'ingested' / 'organizations.csv'}:2: " in result.output
+    assert not (out_dir / "profiles.jsonl").exists()
 
 
 def test_single_class_training_split_exits_with_data_error(tmp_path):

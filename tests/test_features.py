@@ -1,17 +1,22 @@
 """Feature derivation, imputation, stats, balancing and splits."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import GOLDEN_PROFILE
 from ventureval.errors import DataError
 from ventureval.features import (
     AGE_SENTINEL,
     FEATURE_COLUMNS,
     SplitSpec,
+    _largest_remainder,
     balance_dataset,
     compute_age,
     corpus_stats,
@@ -283,6 +288,31 @@ def test_split_deterministic_by_seed():
     a = split_dataset(profiles, SplitSpec(seed=5))
     b = split_dataset(profiles, SplitSpec(seed=5))
     assert a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from([0, 1]), min_size=3, max_size=60),
+    weights=st.tuples(*[st.integers(1, 100)] * 3),
+    seed=st.integers(0, 2**31 - 1),
+    stratified=st.booleans(),
+)
+def test_split_partitions_with_largest_remainder_sizes(labels, weights, seed, stratified):
+    profiles = [dataclasses.replace(GOLDEN_PROFILE, org_id=f"c{i}", success=label)
+                for i, label in enumerate(labels)]
+    spec = SplitSpec(ratios=tuple(w / sum(weights) for w in weights), seed=seed,
+                     stratified=stratified)
+    parts = split_dataset(profiles, spec)
+    ids = [p.org_id for part in parts for p in part]
+    assert sorted(ids) == sorted(p.org_id for p in profiles)
+    assert len(set(ids)) == len(ids)
+    classes = (1, 0) if stratified else (None,)
+    for cls in classes:
+        n = sum(1 for label in labels if cls in (None, label))
+        sizes = [sum(1 for p in part if cls in (None, p.success)) for part in parts]
+        assert sizes == _largest_remainder(n, spec.ratios)
+        assert all(abs(size - n * r) < 1 for size, r in zip(sizes, spec.ratios))
+    assert split_dataset(profiles, spec) == parts
 
 
 def test_split_rejects_tiny_corpus():

@@ -1,13 +1,13 @@
 """Boosted-tree trainer: hand-checked numerics, invariants, serialization."""
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from ventureval import gbdt
-from ventureval.gbdt import GbdtConfig, fit, from_json, predict, predict_proba, to_json
+from ventureval.gbdt import GbdtConfig, fit, from_json, predict_many, predict_proba_many, to_json
 
 HAND_X = np.array([[1.0], [2.0], [3.0], [4.0]])
 HAND_Y = np.array([1, 1, 0, 0])
@@ -29,7 +29,7 @@ def test_hand_fixture_first_round_leaf_weight():
 
 def test_hand_fixture_probability_after_one_round():
     model = fit(HAND_X, HAND_Y, HAND_CONFIG)
-    proba = predict_proba(model, np.array([1.5]))
+    (proba,) = predict_proba_many(model, np.array([[1.5]]))
     assert abs(proba - 1.0 / (1.0 + math.exp(-2.0 / 3.0))) < 1e-12
     assert abs(proba - 0.6608) < 1e-3
 
@@ -39,7 +39,7 @@ def test_identical_features_give_prior_only():
     y = np.array([1, 1, 1, 0, 0, 0, 0, 0])
     model = fit(X, y, GbdtConfig(n_rounds=5))
     prior = y.mean()
-    assert abs(predict_proba(model, X[0]) - prior) < 1e-12
+    assert np.all(np.abs(predict_proba_many(model, X) - prior) < 1e-12)
 
 
 def test_linearly_separable_reaches_perfect_training_accuracy():
@@ -48,7 +48,7 @@ def test_linearly_separable_reaches_perfect_training_accuracy():
     y = (X[:, 2] > 0.25).astype(float)  # oracle: exact threshold rule
     assert 0 < y.sum() < 200
     model = fit(X, y, GbdtConfig(n_rounds=20, learning_rate=0.5))
-    preds = gbdt.predict_many(model, X)
+    preds = predict_many(model, X)
     assert (preds == y).all()
 
 
@@ -57,8 +57,11 @@ def test_predict_is_thresholded_proba():
     X = rng.normal(size=(50, 4))
     y = (X[:, 0] + rng.normal(scale=0.3, size=50) > 0).astype(float)
     model = fit(X, y, GbdtConfig(n_rounds=10))
-    for row in rng.normal(size=(25, 4)):
-        assert predict(model, row) == (1 if predict_proba(model, row) >= 0.5 else 0)
+    grid = rng.normal(size=(25, 4))
+    probas = predict_proba_many(model, grid)
+    for threshold in (0.5, float(np.median(probas))):
+        expected = [1 if p >= threshold else 0 for p in probas]
+        assert predict_many(model, grid, threshold=threshold).tolist() == expected
 
 
 def test_single_class_rejected():
@@ -76,7 +79,7 @@ def test_nan_feature_rejected():
 def test_nan_prediction_input_rejected():
     model = fit(HAND_X, HAND_Y, HAND_CONFIG)
     with pytest.raises(ValueError):
-        predict_proba(model, np.array([float("nan")]))
+        predict_proba_many(model, np.array([[float("nan")]]))
 
 
 def test_probabilities_strictly_inside_unit_interval():
@@ -84,7 +87,7 @@ def test_probabilities_strictly_inside_unit_interval():
     X = rng.normal(size=(120, 3)) * 10
     y = (X[:, 0] > 0).astype(float)
     model = fit(X, y, GbdtConfig(n_rounds=60, learning_rate=0.3))
-    probas = gbdt.predict_proba_many(model, X)
+    probas = predict_proba_many(model, X)
     assert np.all(probas > 0.0) and np.all(probas < 1.0)
 
 
@@ -124,9 +127,7 @@ def test_determinism_and_serialization_round_trip():
 
     restored = from_json(to_json(a))
     grid = rng.normal(size=(40, 6))
-    assert np.allclose(
-        gbdt.predict_proba_many(a, grid), gbdt.predict_proba_many(restored, grid)
-    )
+    assert np.allclose(predict_proba_many(a, grid), predict_proba_many(restored, grid))
 
 
 def test_train_loss_non_increasing_fuzz():
@@ -156,6 +157,26 @@ def test_config_validation():
         GbdtConfig(learning_rate=1.5).validate()
     with pytest.raises(ValueError):
         GbdtConfig(reg_lambda=-1.0).validate()
+
+
+# A model.json as written when the config still carried an unused "seed".
+SEEDED_MODEL = (
+    '{"base_score": 0.0, "config": {"gamma": 0.0, "learning_rate": 1.0, '
+    '"max_depth": 1, "min_child_weight": 0.0, "n_rounds": 1, "reg_lambda": 1.0, '
+    '"seed": 1234}, "format_version": 1, "n_features": 1, "trees": [{"feature": 0, '
+    '"left": {"weight": 0.6666666666666666}, "right": {"weight": -0.6666666666666666}, '
+    '"threshold": 2.0}]}'
+)
+
+
+def test_model_with_a_seed_loads_and_saves_without_it():
+    model = from_json(SEEDED_MODEL)
+    assert model.config == HAND_CONFIG
+    assert predict_many(model, HAND_X).tolist() == HAND_Y.tolist()
+    expected = json.loads(SEEDED_MODEL)
+    del expected["config"]["seed"]
+    assert json.loads(to_json(model)) == expected
+    assert to_json(fit(HAND_X, HAND_Y, HAND_CONFIG)) == to_json(model)
 
 
 def test_model_format_version_checked():

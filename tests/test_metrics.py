@@ -1,16 +1,12 @@
 """Classification metrics and the greedy embedding-match score."""
 
-import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from ventureval.errors import DataError, ProtocolError
 from ventureval.metrics import (
-    FixtureEmbeddingProvider,
-    HttpEmbeddingProvider,
     TokenEmbeddings,
     apply_idf,
     confusion,
@@ -199,69 +195,3 @@ def test_idf_table_smoothing():
     weighted = apply_idf(emb(np.eye(2), tokens=["a", "unseen"]), table)
     assert weighted.idf[1] > weighted.idf[0]
 
-
-# --------------------------------------------------------------- provider
-
-
-def write_fixture(tmp_path):
-    path = tmp_path / "embeddings.jsonl"
-    entry = {
-        "text": "strong funding",
-        "tokens": ["strong", "funding"],
-        "vectors": [[1.0, 0.0], [0.0, 1.0]],
-    }
-    path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
-    return path
-
-
-def test_fixture_provider_passthrough_and_cache(tmp_path):
-    provider = FixtureEmbeddingProvider(write_fixture(tmp_path))
-    first = provider.fetch("strong funding")
-    assert first.tokens == ["strong", "funding"]
-    assert np.allclose(first.vectors, np.eye(2))
-    provider.fetch("strong funding")
-    assert provider.cache_misses == 1
-    assert provider.cache_hits == 1
-
-
-def test_fixture_provider_unknown_text(tmp_path):
-    provider = FixtureEmbeddingProvider(write_fixture(tmp_path))
-    with pytest.raises(DataError):
-        provider.fetch("never embedded")
-
-
-def test_empty_text_rejected(tmp_path):
-    provider = FixtureEmbeddingProvider(write_fixture(tmp_path))
-    with pytest.raises(ValueError):
-        provider.fetch("")
-
-
-def test_http_provider_retries_then_succeeds():
-    calls = {"n": 0}
-    body = json.dumps({"tokens": ["x"], "vectors": [[1.0, 2.0]]})
-
-    def transport(url, payload, timeout_s):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return 503, "busy"
-        return 200, body
-
-    provider = HttpEmbeddingProvider(
-        "http://embeddings.local", transport=transport, sleep=lambda s: None
-    )
-    result = provider.fetch("x")
-    assert calls["n"] == 2
-    assert result.tokens == ["x"]
-    # second fetch comes from cache, no extra call
-    provider.fetch("x")
-    assert calls["n"] == 2
-
-
-def test_http_provider_malformed_body():
-    provider = HttpEmbeddingProvider(
-        "http://embeddings.local",
-        transport=lambda url, payload, timeout_s: (200, "not json"),
-        sleep=lambda s: None,
-    )
-    with pytest.raises(ProtocolError):
-        provider.fetch("x")

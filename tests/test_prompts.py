@@ -24,7 +24,6 @@ from ventureval.prompts import (
     emit_jsonl,
     emit_training_manifest,
     enforce_budget,
-    parse_chat,
     read_records_jsonl,
     render_profile_block,
     render_prompt,
@@ -223,7 +222,7 @@ def test_serialize_parse_round_trip_fuzzed():
             content = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 8)))
             messages.append(ChatMessage(role, content))
         text = serialize_chat(ChatRecord(messages=messages))
-        assert parse_chat(text) == messages
+        assert text == "".join(f"<|im_start|>{m.role}\n{m.content}<|im_end|>\n" for m in messages)
 
 
 def test_chat_message_role_validation():

@@ -17,7 +17,6 @@ import ventureval
 from ventureval._retry import RetryableFailure, post_json, run_with_retries
 from ventureval.client import EndpointConfig, chat_complete
 from ventureval.errors import TransportError
-from ventureval.metrics import HttpEmbeddingProvider
 
 MESSAGES = [{"role": "user", "content": "hi"}]
 
@@ -163,17 +162,6 @@ def test_non_finite_payload_is_not_retried(server):
         run_with_retries(send, 3, sleep=lambda s: pytest.fail("must not back off"))
     assert sends == [1]
     assert server.seen == []
-
-
-def test_embedding_provider_default_transport(server):
-    server.script = [(200, json.dumps({"tokens": ["a", "b"], "vectors": [[1.0, 0.0], [0.0, 1.0]]}))]
-    provider = HttpEmbeddingProvider(server.url + "/embed", timeout_s=5.0)
-    result = provider.fetch("a b")
-    assert result.tokens == ["a", "b"]
-    (request,) = server.seen
-    assert request["path"] == "/embed"
-    assert request["body"] == {"text": "a b"}
-    assert request["headers"]["Content-Type"] == "application/json"
 
 
 def test_client_and_metrics_do_not_import_requests():
