@@ -76,7 +76,6 @@ def run_with_retries(send, max_retries, sleep=time.sleep, rng=None):
     Returns ``(body, attempt_log)`` once an attempt is answered 200; raises
     TransportError with the attempt log otherwise.
     """
-    rng = rng or random.Random()
     attempt_log = []
     total = max_retries + 1
     for attempt in range(1, total + 1):
@@ -94,6 +93,8 @@ def run_with_retries(send, max_retries, sleep=time.sleep, rng=None):
                     attempts=attempt_log,
                 )
         if attempt < total:
+            # Made at the first backoff: seeding one costs an os.urandom call.
+            rng = rng or random.Random()
             delay = BACKOFF_BASE_S * (BACKOFF_FACTOR ** (attempt - 1)) * rng.random()
             attempt_log[-1]["backoff_s"] = round(delay, 6)
             sleep(delay)

@@ -10,7 +10,8 @@ the run's out directory, so any stage can be re-run in isolation. Exit
 codes: 0 success; 2 a bad flag, run config or synth config, or a missing
 input; 3 a data error; 4 a transport error. Anything else exits 1 with a
 traceback, and is a bug. Structured JSONL progress lines go to stderr (or
---log-file).
+--log-file); a stage's line carries its ``duration_s``, the seconds of its
+sub-steps (``_timed``) and its counts.
 
 An option that falls back to the run config declares that as its default
 (``_from_config``), so a flag always wins over the config file, which wins
@@ -23,7 +24,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import statistics
 import sys
 import time
 from datetime import date, datetime, timezone
@@ -31,13 +31,12 @@ from pathlib import Path
 
 import click
 
-# The data stages need none of the modules that load NumPy (gbdt, synth)
-# or speak HTTP (client), so the commands that use those import them.
+# The commands import the other modules they use themselves: gbdt and
+# synth load NumPy, client speaks HTTP, and features and prompts would cost
+# the stages that never call them (ingest calls neither) their import.
 from . import config as config_mod
-from . import features as features_mod
 from . import ingest as ingest_mod
-from . import prompts as prompts_mod
-from .config import derive_seed
+from .config import VARIANTS, derive_seed
 from .errors import DataError, ProtocolError, TransportError
 
 EXIT_DATA = 3
@@ -71,6 +70,7 @@ def _stage(name):
         @click.pass_context
         def wrapper(ctx, *args, **kwargs):
             started = time.monotonic()
+            ctx.obj["timings"] = timings = {}
             try:
                 counts = fn(ctx, *args, **kwargs) or {}
             except DataError as exc:
@@ -86,12 +86,21 @@ def _stage(name):
                 name,
                 status="ok",
                 duration_s=round(time.monotonic() - started, 3),
+                **timings,
                 **counts,
             )
 
         return wrapper
 
     return decorator
+
+
+@contextlib.contextmanager
+def _timed(ctx, key: str):
+    """Add the seconds the block takes to the stage's log line as ``key``."""
+    started = time.monotonic()
+    yield
+    ctx.obj["timings"][key] = round(time.monotonic() - started, 3)
 
 
 @contextlib.contextmanager
@@ -136,6 +145,8 @@ def _eval_summary(result) -> dict:
     ``latency_ms`` holds p50/p95/p99 of per-record latency (inclusive-method
     quantiles); ``parse_status`` counts records by parse status.
     """
+    import statistics
+
     from . import client as client_mod
 
     latencies = [o.latency_ms for o in result.outcomes]
@@ -274,6 +285,8 @@ def ingest_cmd(ctx, data_dir, mapping_path, strict, out_dir):
 @_stage("features")
 def features_cmd(ctx, ingested_dir, reference_date, out_dir):
     """Derive engineered company profiles from the ingested tables."""
+    from . import features as features_mod
+
     with _usage():
         reference = date.fromisoformat(reference_date)
     if ingested_dir is None:
@@ -283,24 +296,27 @@ def features_cmd(ctx, ingested_dir, reference_date, out_dir):
 
     # The tables are ingest's own output, so a row that fails to parse was
     # damaged since: stop on it rather than drop a company.
-    store, _ = ingest_mod.load_directory(
-        ingested_dir, mapping=ingest_mod.identity_mapping(), strict=True
-    )
-    profiles, anomalies = features_mod.derive_profiles(store, reference)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    features_mod.write_profiles_csv(profiles, out_dir / "profiles.csv")
-    features_mod.write_profiles_jsonl(profiles, out_dir / "profiles.jsonl")
+    with _timed(ctx, "load_s"):
+        store, _ = ingest_mod.load_directory(
+            ingested_dir, mapping=ingest_mod.identity_mapping(), strict=True
+        )
+    with _timed(ctx, "derive_s"):
+        profiles, anomalies = features_mod.derive_profiles(store, reference)
     n_positive = sum(p.success for p in profiles)
-    _write_json(
-        out_dir / "features_summary.json",
-        {
-            "n_profiles": len(profiles),
-            "n_positive": n_positive,
-            "n_negative": len(profiles) - n_positive,
-            "reference_date": reference.isoformat(),
-            "anomalies": [{"org_id": o, "reason": r} for o, r in anomalies],
-        },
-    )
+    with _timed(ctx, "write_s"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        features_mod.write_profiles_csv(profiles, out_dir / "profiles.csv")
+        features_mod.write_profiles_jsonl(profiles, out_dir / "profiles.jsonl")
+        _write_json(
+            out_dir / "features_summary.json",
+            {
+                "n_profiles": len(profiles),
+                "n_positive": n_positive,
+                "n_negative": len(profiles) - n_positive,
+                "reference_date": reference.isoformat(),
+                "anomalies": [{"org_id": o, "reason": r} for o, r in anomalies],
+            },
+        )
     return {"profiles": len(profiles), "anomalies": len(anomalies)}
 
 
@@ -310,6 +326,8 @@ def features_cmd(ctx, ingested_dir, reference_date, out_dir):
 @_stage("stats")
 def stats_cmd(ctx, profiles_path, out_path):
     """Corpus statistics: class balance, description lengths, feature ranges."""
+    from . import features as features_mod
+
     _require_file(profiles_path, "run `ventureval features` first")
     profiles = features_mod.read_profiles_jsonl(profiles_path)
     stats = features_mod.corpus_stats(profiles)
@@ -327,6 +345,8 @@ def stats_cmd(ctx, profiles_path, out_path):
 @_stage("split")
 def split_cmd(ctx, profiles_path, splits_dir, ratios, seed, stratified):
     """Partition profiles into train/val/test JSONL files."""
+    from . import features as features_mod
+
     with _usage():
         spec = features_mod.SplitSpec(
             ratios=tuple(float(p) for p in ratios.split(",")), seed=seed, stratified=stratified
@@ -353,7 +373,7 @@ def split_cmd(ctx, profiles_path, splits_dir, ratios, seed, stratified):
 @click.option("--profiles", "profiles_path", type=_PATH, default=_in_out_dir("profiles.jsonl"),
               help="Profile JSONL to render (e.g. a split file).")
 @click.option("--out", "out_path", type=_PATH, default=_in_out_dir("prompts.jsonl"))
-@click.option("--variant", type=click.Choice(prompts_mod.VARIANTS),
+@click.option("--variant", type=click.Choice(VARIANTS),
               default=_from_config(lambda c: c.variant))
 @click.option("--mode", default="sft", type=click.Choice(["sft", "inference"]))
 @click.option("--budget", type=click.IntRange(min=1), default=_from_config(lambda c: c.budget),
@@ -376,6 +396,9 @@ def prompts_cmd(ctx, profiles_path, out_path, variant, mode, budget, balance,
                 balance_seed, fewshot_k, fewshot_seed, include_description,
                 leakage_guard, manifest_path):
     """Compile profiles into chat records (supervised or inference)."""
+    from . import features as features_mod
+    from . import prompts as prompts_mod
+
     with _usage():
         floor = prompts_mod.template_tokens(variant)
         if budget < floor:
@@ -386,31 +409,33 @@ def prompts_cmd(ctx, profiles_path, out_path, variant, mode, budget, balance,
     if balance is None:
         balance = mode == "sft"
 
-    profiles = features_mod.read_profiles_jsonl(profiles_path)
+    with _timed(ctx, "read_s"):
+        profiles = features_mod.read_profiles_jsonl(profiles_path)
     with _naming(profiles_path):
         if balance:
             profiles = features_mod.balance_dataset(profiles, balance_seed)
-        records = [
-            prompts_mod.enforce_budget(
+        with _timed(ctx, "render_s"):
+            records = [
                 prompts_mod.render_prompt(
                     profile,
                     variant=variant,
                     mode=mode,
                     include_description=include_description,
                     leakage_guard=leakage_guard,
-                ),
-                max_tokens=budget,
-            )
-            for profile in profiles
-        ]
+                )
+                for profile in profiles
+            ]
+        with _timed(ctx, "budget_s"):
+            records = [prompts_mod.enforce_budget(r, max_tokens=budget) for r in records]
         if fewshot_k is not None:
             records = prompts_mod.sample_fewshot(records, fewshot_k, fewshot_seed)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    count = prompts_mod.emit_jsonl(records, out_path)
-    if manifest_path or mode == "sft":
-        manifest_path = manifest_path or out_path.parent / "training_manifest.json"
-        manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(prompts_mod.emit_training_manifest(), encoding="utf-8")
+    with _timed(ctx, "write_s"):
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        count = prompts_mod.emit_jsonl(records, out_path)
+        if manifest_path or mode == "sft":
+            manifest_path = manifest_path or out_path.parent / "training_manifest.json"
+            manifest_path.parent.mkdir(parents=True, exist_ok=True)
+            manifest_path.write_text(prompts_mod.emit_training_manifest(), encoding="utf-8")
     return {"records": count, "variant": variant, "mode": mode}
 
 
@@ -430,6 +455,7 @@ def prompts_cmd(ctx, profiles_path, out_path, variant, mode, budget, balance,
 def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
                        learning_rate, reg_lambda, gamma, min_child_weight, threshold):
     """Train the boosted-tree baseline and report on the test split."""
+    from . import features as features_mod
     from . import gbdt as gbdt_mod
     from . import metrics as metrics_mod
 
@@ -486,6 +512,8 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
 
 def _exemplar_from_dict(obj: dict):
     """An exemplar pool record: a completed supervised one, or ValueError."""
+    from . import prompts as prompts_mod
+
     record = prompts_mod.record_from_dict(obj)
     prompts_mod.exemplar_turns([record])
     return record
@@ -516,6 +544,8 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
                       max_in_flight, shots, exemplars_path, eval_dir):
     """Evaluate a chat-completion endpoint on a compiled prompt dataset."""
     from . import client as client_mod
+    from . import features as features_mod
+    from . import prompts as prompts_mod
 
     if not base_url:
         raise click.UsageError("--base-url (or endpoint.base_url in the config) is required")
@@ -563,7 +593,7 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
     with open(eval_dir / "outcomes.jsonl", "w", encoding="utf-8") as fh:
         for outcome in result.outcomes:
             fh.write(
-                json.dumps(
+                features_mod.encode_json(
                     {
                         "org_id": outcome.org_id,
                         "true_label": outcome.true_label,
@@ -572,8 +602,7 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
                         "correct": outcome.correct,
                         "latency_ms": outcome.latency_ms,
                         "attempts": outcome.attempts,
-                    },
-                    ensure_ascii=False,
+                    }
                 )
                 + "\n"
             )
@@ -600,6 +629,7 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
 def score_cmd(ctx, audit_path, dataset_path, out_path):
     """Re-score a persisted audit log offline (no endpoint access)."""
     from . import client as client_mod
+    from . import prompts as prompts_mod
 
     _require_file(audit_path, "run `ventureval eval-endpoint` first")
     _require_file(dataset_path, "the dataset supplies true labels")

@@ -24,7 +24,7 @@ from typing import Optional
 from . import metrics
 from ._retry import post_json, run_with_retries
 from .errors import DataError, ProtocolError, TransportError
-from .features import _FLOAT_MAX, _jsonl_lines
+from .features import _FLOAT_MAX, _jsonl_lines, encode_json
 
 PARSED = "parsed"
 FALLBACK_PARSED = "fallback-parsed"
@@ -287,7 +287,7 @@ def run_eval(
         )
         if audit is None:
             return
-        line = json.dumps(
+        line = encode_json(
             {
                 "org_id": outcome.org_id,
                 "request": _record_payload_messages(record),
@@ -296,8 +296,7 @@ def run_eval(
                 "latency_ms": latency_ms,
                 "attempts": attempts,
                 "transport_error": error,
-            },
-            ensure_ascii=False,
+            }
         )
         with audit_lock:
             audit.write(line + "\n")

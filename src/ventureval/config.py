@@ -9,10 +9,12 @@ one integer.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .ingest import parse_kv_file
+
+# The prompt variants, from bare (V1) to most structured (V4); see prompts.
+VARIANTS = ("V1", "V2", "V3", "V4")
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -29,6 +31,8 @@ def _to_bool(text: str) -> bool:
 
 def derive_seed(root_seed: int, stage: str) -> int:
     """Stable per-stage seed derived from the root seed."""
+    import hashlib  # only the stages that draw a seed pay for its import
+
     digest = hashlib.blake2b(f"{root_seed}:{stage}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") % (2**31)
 

@@ -9,8 +9,11 @@ label marks an exit: the company either went public or was acquired
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import json
+import operator
 import random
 import re
 import statistics
@@ -99,6 +102,25 @@ class CompanyProfile:
     raised_imputed: int
 
 
+# A frozen dataclass's __init__ sets each field with object.__setattr__, 14
+# calls a profile; the reader and derive_profiles fill the instance dict
+# instead. A dataclass compares, copies and converts through its fields, so
+# equality, dataclasses.replace and asdict see no difference.
+def _profile(values: dict) -> CompanyProfile:
+    """A CompanyProfile holding ``values``, which maps each name in
+    PROFILE_FIELDS, and nothing else, to its value."""
+    profile = object.__new__(CompanyProfile)
+    # Pairs, not the dict: merging a dict copies its key table into the
+    # instance, while pairs go into the table that all profiles share. On
+    # CPython 3.11 that is about 270 bytes a profile against 530 (and 210
+    # through __init__).
+    profile.__dict__.update(values.items())
+    return profile
+
+
+_profile_values = operator.attrgetter(*PROFILE_FIELDS)
+
+
 _EXECUTIVE_RE = re.compile(
     r"\b(?:" + "|".join(re.escape(k) for k in EXECUTIVE_TITLE_KEYWORDS) + r")\b", re.IGNORECASE
 )
@@ -167,22 +189,22 @@ def derive_profiles(store: CompanyStore, reference_date: date = DEFAULT_REFERENC
         had_ipo = 1 if org_id in public else 0
         was_acquired = 1 if org_id in acquired else 0
         profiles.append(
-            CompanyProfile(
-                org_id=org_id,
-                name=org.name,
-                description=org.description,
-                age_years=age,
-                total_raised_usd=float(sum(raised)),
-                num_funding_rounds=rounds,
-                num_investors=investors.get(org_id, 0),
-                num_acquisitions_made=acquisitions_made.get(org_id, 0),
-                num_executives=executives.get(org_id, 0),
-                had_ipo=had_ipo,
-                was_acquired=was_acquired,
-                success=had_ipo | was_acquired,
-                age_imputed=1 if date_source is None else 0,
-                raised_imputed=1 if (rounds and not raised) else 0,
-            )
+            _profile({
+                "org_id": org_id,
+                "name": org.name,
+                "description": org.description,
+                "age_years": age,
+                "total_raised_usd": float(sum(raised)),
+                "num_funding_rounds": rounds,
+                "num_investors": investors.get(org_id, 0),
+                "num_acquisitions_made": acquisitions_made.get(org_id, 0),
+                "num_executives": executives.get(org_id, 0),
+                "had_ipo": had_ipo,
+                "was_acquired": was_acquired,
+                "success": had_ipo | was_acquired,
+                "age_imputed": 1 if date_source is None else 0,
+                "raised_imputed": 1 if (rounds and not raised) else 0,
+            })
         )
     return profiles, anomalies
 
@@ -239,14 +261,12 @@ def corpus_stats(profiles) -> CorpusStats:
     from .prompts import count_tokens  # no module-level cycle
 
     edges = DESC_TOKEN_BUCKETS
-    histogram = {_bucket_label(edges, i): 0 for i in range(len(edges))}
+    labels = [_bucket_label(edges, i) for i in range(len(edges))]
+    counts = [0] * len(edges)
     for p in profiles:
-        n_tokens = count_tokens(p.description)
-        idx = 0
-        for i in range(len(edges)):
-            if n_tokens >= edges[i]:
-                idx = i
-        histogram[_bucket_label(edges, idx)] += 1
+        # The last edge at or below the count; the first edge is 0.
+        counts[bisect.bisect_right(edges, count_tokens(p.description)) - 1] += 1
+    histogram = dict(zip(labels, counts))
 
     n_total = len(profiles)
     n_pos = sum(p.success for p in profiles)
@@ -358,16 +378,20 @@ def write_profiles_csv(profiles, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_FIELDS)
-        for p in profiles:
-            writer.writerow([getattr(p, name) for name in PROFILE_FIELDS])
+        writer.writerows(map(_profile_values, profiles))
+
+
+# json.dumps(obj, ensure_ascii=False), without the new encoder that
+# json.dumps builds for every call that passes an argument. The JSONL
+# writers share it.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_profiles_jsonl(profiles, path) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for p in profiles:
-            record = {name: getattr(p, name) for name in PROFILE_FIELDS}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(encode_json(dict(zip(PROFILE_FIELDS, _profile_values(p)))) + "\n")
             count += 1
     return count
 
@@ -385,6 +409,21 @@ def _jsonl_lines(path):
                 yield lineno, line
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str):
+    """``json.loads(line)``: the same object, or the same error. A line that
+    raw_decode takes whole skips the checks json.loads makes first (for a
+    BOM and leading whitespace); any other line goes to json.loads."""
+    try:
+        obj, end = _raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    # What json.loads accepts after a document: JSON whitespace only.
+    return json.loads(line) if line[end:].strip(" \t\n\r") else obj
+
+
 def read_jsonl(path, build) -> list:
     """``build(obj)`` for each JSON object line of ``path``; blank lines are
     skipped. A line that is not UTF-8, not a JSON object, or whose object
@@ -393,7 +432,7 @@ def read_jsonl(path, build) -> list:
     out = []
     for lineno, line in _jsonl_lines(path):
         try:
-            obj = json.loads(line)
+            obj = _decode_line(line)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: not JSON: {exc}")
         if not isinstance(obj, dict):
@@ -416,9 +455,40 @@ def _check_text(name: str, value) -> None:
         raise ValueError(f"{name} holds a lone surrogate: {value!r}")
 
 
+# The types a profile's values may have, in PROFILE_FIELDS order: type(),
+# not isinstance, since a JSON true or false is neither a number nor a flag.
+_PROFILE_TYPES = frozenset(
+    (str,) * len(TEXT_PROFILE_FIELDS) + numbers + (int,) * len(FLAG_PROFILE_FIELDS)
+    for numbers in itertools.product((int, float), repeat=len(FEATURE_COLUMNS))
+)
+_dict_values = operator.itemgetter(*PROFILE_FIELDS)
+_TEXTS = slice(len(TEXT_PROFILE_FIELDS))
+_NUMBERS = slice(len(TEXT_PROFILE_FIELDS), len(TEXT_PROFILE_FIELDS) + len(FEATURE_COLUMNS))
+_FLAGS = slice(_NUMBERS.stop, None)
+_BITS = frozenset((0, 1))
+
+
 def _profile_from_dict(obj: dict) -> CompanyProfile:
-    values = {name: obj[name] for name in PROFILE_FIELDS}
-    # type(), not isinstance: a JSON true or false is neither a number nor a flag.
+    """The profile ``obj`` holds, or ValueError naming its first bad field.
+
+    One pass checks every field; only an object that fails it (or holds
+    other keys too) is checked again field by field, which words the error.
+    """
+    values = _dict_values(obj)  # a KeyError names the first missing field
+    if (
+        len(obj) == len(PROFILE_FIELDS)
+        and tuple(map(type, values)) in _PROFILE_TYPES
+        and {*values[_FLAGS]} <= _BITS
+        and all(map(_FLOAT_MAX.__ge__, map(abs, values[_NUMBERS])))
+        and not undecodable("".join(values[_TEXTS]))  # no lone surrogate
+    ):
+        return _profile(obj)
+    return _checked_profile(dict(zip(PROFILE_FIELDS, values)))
+
+
+def _checked_profile(values: dict) -> CompanyProfile:
+    """The profile of ``values`` after a check of each field in turn, which
+    names the first bad one."""
     for name in TEXT_PROFILE_FIELDS:
         _check_text(name, values[name])
     for name in FEATURE_COLUMNS:

@@ -27,7 +27,8 @@ from typing import Optional
 from .errors import DataError
 
 # The one description of the six tables: each kind's columns in file order,
-# with the column type that parses and writes them (see _COLUMN_TYPES).
+# with the column type that parses and writes them (see _CELL_PARSERS and
+# _COLUMN_FORMATS).
 SCHEMA = {
     "organizations": (
         ("org_id", "key"),
@@ -156,28 +157,37 @@ def _parse_amount(text: str) -> Optional[float]:
     return value
 
 
-def _parse_key(text: str, column: str) -> str:
-    value = text.strip()
-    if not value:
-        raise ValueError(f"empty {column}")
-    return value
+def _empty(column: str):
+    raise ValueError(f"empty {column}")
 
 
-# Column type -> (parse(cell, column), format(value) or None to write the
-# value as is). Parsers raise ValueError with the reason a RowError records;
-# None is written as "".
+class _DateMemo(dict):
+    """``memo[text]`` is ``parse_iso_date(text)``, parsed once per distinct
+    text: dates repeat a lot within a table."""
+
+    def __missing__(self, text):
+        value = self[text] = parse_iso_date(text)
+        return value
+
+
+# Column type -> the expression that parses the text of ``{cell}`` in a row
+# parser (see _row_parser). It raises ValueError with the reason a RowError
+# records.
 #   key: stripped, must not be empty      id: stripped, may be empty
 #   text: kept as is                      date: ISO date, or empty -> None
 #   amount: finite number >= 0, or empty -> None
-_COLUMN_TYPES = {
-    "key": (_parse_key, None),
-    "id": (lambda text, column: text.strip(), None),
-    "text": (lambda text, column: text, None),
-    "date": (lambda text, column: parse_iso_date(text), date.isoformat),
-    "amount": (
-        lambda text, column: _parse_amount(text),
-        lambda value: str(int(value)) if value == int(value) else repr(value),
-    ),
+_CELL_PARSERS = {
+    "key": "{cell}.strip() or _empty({column!r})",
+    "id": "{cell}.strip()",
+    "text": "{cell}",
+    "date": "dates[{cell}]",
+    "amount": "_parse_amount({cell})",
+}
+
+# Column type -> format(value) for write_table. The csv writer writes None
+# as "" and any other value as str(value), which for a date is its ISO form.
+_COLUMN_FORMATS = {
+    "amount": lambda value: str(int(value)) if value == int(value) else repr(value),
 }
 
 
@@ -194,25 +204,56 @@ def undecodable(text: str) -> Optional[str]:
     return f"not UTF-8: byte 0x{ord(found.group()) - 0xDC00:02x}" if found else None
 
 
-def _unique(values: list, seen: set, column: str) -> None:
+def _unique(values: tuple, seen: set, column: str) -> None:
     if values[-1] in seen:
         raise ValueError(f"duplicate {column} {values[-1]!r}")
     seen.add(values[-1])
 
 
-def _not_self_acquired(values: list, seen: set, column: str) -> None:
+def _not_self_acquired(values: tuple, seen: set, column: str) -> None:
     if values[0] == values[1]:
         raise ValueError(f"acquiree equals acquirer: {values[0]!r}")
 
 
 # Row rules beyond the column types, by the (table, column) they follow:
-# each runs as soon as that column has parsed, so of a row's several faults
-# the first in column order is the one reported.
+# each runs as soon as that column has parsed, on the values parsed so far,
+# so of a row's several faults the first in column order is the one reported.
 _ROW_RULES = {
     ("organizations", "org_id"): _unique,
     ("funding_rounds", "round_id"): _unique,
     ("acquisitions", "acquirer_id"): _not_self_acquired,
 }
+
+
+def _row_parser(kind: str, positions: list):
+    """``parse(record) -> row`` for the data records of one ``load_table``
+    call: ``positions`` holds the index of each SCHEMA column of ``kind`` in
+    a record, and the record must be long enough to have them all.
+
+    The parser is generated from SCHEMA as one line per column, each rule
+    straight after its column, so that a row pays no loop or call per
+    column. Its rules' seen keys and its date memo last for the one call.
+    """
+    lines = ["def parse(record):"]
+    names = []
+    for (column, ctype), pos in zip(SCHEMA[kind], positions):
+        names.append(f"v{len(names)}")
+        cell = _CELL_PARSERS[ctype].format(cell=f"record[{pos}]", column=column)
+        lines.append(f"    {names[-1]} = {cell}")
+        if (kind, column) in _ROW_RULES:
+            lines.append(f"    rules[{column!r}](({', '.join(names)},), seen, {column!r})")
+    lines.append(f"    return new_row(row_type, ({', '.join(names)},))")
+    namespace = {
+        "_empty": _empty,
+        "_parse_amount": _parse_amount,
+        "dates": _DateMemo(),
+        "rules": {column: rule for (table, column), rule in _ROW_RULES.items() if table == kind},
+        "seen": set(),
+        "new_row": tuple.__new__,
+        "row_type": ROW_TYPES[kind],
+    }
+    exec("\n".join(lines), namespace)
+    return namespace["parse"]
 
 
 def _physical_columns(mapping: dict, kind: str) -> list:
@@ -244,18 +285,16 @@ def load_table(path, kind, mapping=None, strict=False):
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file, header row required")
-            columns = []
-            for name, (column, ctype) in zip(physical, SCHEMA[kind]):
+            positions = []
+            for name in physical:
                 if name not in header:
                     raise DataError(f"{path}: header lacks mapped column {name!r}")
-                rule = _ROW_RULES.get((kind, column))
-                columns.append((header.index(name), column, _COLUMN_TYPES[ctype][0], rule))
+                positions.append(header.index(name))
+            parse = _row_parser(kind, positions)
+            width = max(positions) + 1
 
-            make_row = ROW_TYPES[kind]._make
             rows, errors = [], []
-            seen_keys: set = set()
             for record in reader:
-                line = reader.line_num
                 if not record:
                     continue
                 try:
@@ -263,13 +302,11 @@ def load_table(path, kind, mapping=None, strict=False):
                         reason = undecodable("".join(record))
                         if reason:
                             raise ValueError(reason)
-                    values = []
-                    for pos, column, parse, rule in columns:
-                        values.append(parse(record[pos] if pos < len(record) else "", column))
-                        if rule is not None:
-                            rule(values, seen_keys, column)
-                    rows.append(make_row(values))
+                    if len(record) < width:  # a short row's missing cells are empty
+                        record += [""] * (width - len(record))
+                    rows.append(parse(record))
                 except ValueError as exc:
+                    line = reader.line_num
                     if strict:
                         raise DataError(f"{path}:{line}: {exc}")
                     errors.append(RowError(line=line, reason=str(exc)))
@@ -285,7 +322,7 @@ def write_table(rows, path, kind, mapping=None) -> None:
     column names, which ``identity_mapping()`` reads back).
     """
     header = _physical_columns(mapping or identity_mapping(), kind)
-    formats = [_COLUMN_TYPES[ctype][1] for _, ctype in SCHEMA[kind]]
+    formats = [_COLUMN_FORMATS.get(ctype) for _, ctype in SCHEMA[kind]]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
+from .config import VARIANTS
 from .errors import DataError
-from .features import CompanyProfile, _check_text, read_jsonl
+from .features import CompanyProfile, _check_text, encode_json, read_jsonl
 
 IM_START = "<|im_start|>"
 IM_END = "<|im_end|>"
-
-VARIANTS = ("V1", "V2", "V3", "V4")
 
 # Variants that render the structured profile block (the earlier ones get a
 # single inline sentence).
@@ -107,6 +106,11 @@ class ChatRecord:
     # when no description was written. Only enforce_budget reads it, and it
     # is not serialised.
     description_start: Optional[int] = field(default=None, compare=False)
+    # count_tokens(serialize_chat(self)) as render_prompt and enforce_budget
+    # worked it out from the record's parts; None when unknown. Not an
+    # __init__ argument, so that dataclasses.replace cannot carry it over to
+    # other messages. Only enforce_budget reads it, and it is not serialised.
+    token_count: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
 
 @functools.cache
@@ -269,30 +273,29 @@ def render_prompt(
 
     description = _description(profile, include_description, leakage_guard)
     render = _render_block if variant in _BLOCK_VARIANTS else _render_inline
+    profile_text = render(profile, description, leakage_guard)
     # Every template ends with its profile, so the description ends the text.
-    user_text = (
-        load_template(variant).format(profile=render(profile, description, leakage_guard))
-        .rstrip("\n")
-    )
+    user_text = load_template(variant).format(profile=profile_text).rstrip("\n")
     description_start = len(user_text) - len(description) if description else None
 
     messages = exemplar_turns(exemplars)
+    # The record's tokens are the sum of its parts' (see _FRAMING_TOKENS):
+    # each template puts a blank line before {profile}, so no token joins
+    # the template text to the profile text.
+    tokens = template_tokens(variant) + count_tokens(profile_text)
+    if messages:
+        tokens += count_tokens(serialize_chat(ChatRecord(messages)))
     messages.append(ChatMessage("user", user_text))
 
-    metadata = {"org_id": profile.org_id, "variant": variant}
-
+    record = ChatRecord(messages=messages, metadata={"org_id": profile.org_id, "variant": variant},
+                        label=profile.success, description_start=description_start)
     if mode == "sft":
-        justification = template_justification(profile)
-        messages.append(ChatMessage("assistant", render_target(profile)))
-        return ChatRecord(
-            messages=messages,
-            metadata=metadata,
-            label=profile.success,
-            justification=justification,
-            description_start=description_start,
-        )
-    return ChatRecord(messages=messages, metadata=metadata, label=profile.success,
-                      description_start=description_start)
+        target = render_target(profile)
+        record.justification = template_justification(profile)
+        messages.append(ChatMessage("assistant", target))
+        tokens += _FRAMING_TOKENS + _target_tokens(target)
+    record.token_count = tokens
+    return record
 
 
 def exemplar_turns(exemplars) -> list:
@@ -318,6 +321,17 @@ def serialize_chat(record: ChatRecord) -> str:
     return "".join(parts)
 
 
+# The tokens that serialize_chat adds to a message: the two delimiters and
+# the role word. None of them joins a token of the content, since a newline
+# follows the role and the content cannot hold a delimiter, so a serialised
+# record counts the sum of its messages' framing and content tokens.
+_FRAMING_TOKENS = count_tokens(f"{IM_START}user\n{IM_END}\n")
+
+# Few distinct SFT targets exist: one per label and tier combination.
+_target_tokens = functools.cache(count_tokens)
+
+
+@functools.cache
 def template_tokens(variant: str) -> int:
     """Tokens that every record of ``variant`` carries: its template text and
     the chat framing of the user turn. No smaller budget fits a record."""
@@ -340,7 +354,9 @@ def enforce_budget(record: ChatRecord, max_tokens: int = MAX_PROMPT_TOKENS) -> C
     so no token spans either edge of it: the cut record counts the tokens
     outside the description plus ``k + 1``.
     """
-    total = count_tokens(serialize_chat(record))
+    total = record.token_count
+    if total is None:
+        total = count_tokens(serialize_chat(record))
     if total <= max_tokens:
         return record
 
@@ -362,13 +378,15 @@ def enforce_budget(record: ChatRecord, max_tokens: int = MAX_PROMPT_TOKENS) -> C
     cut = ends[keep - 1] if keep else start
     messages = list(record.messages)
     messages[user_idx] = ChatMessage("user", content[:cut] + TRUNCATION_MARKER)
-    return ChatRecord(
+    cut_record = ChatRecord(
         messages=messages,
         metadata=dict(record.metadata),
         label=record.label,
         justification=record.justification,
         description_start=start,
     )
+    cut_record.token_count = total - len(ends) + keep + 1
+    return cut_record
 
 
 def sample_fewshot(records, k: int, seed: int):
@@ -441,7 +459,7 @@ def emit_jsonl(records, path) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
+            fh.write(encode_json(record_to_dict(record)) + "\n")
             count += 1
     return count
 

@@ -7,18 +7,22 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, GOLDEN_PROFILE
 from ventureval.cli import main
 from ventureval.config import RunConfig, derive_seed
 from ventureval.features import write_profiles_jsonl
-from ventureval.prompts import ChatMessage, ChatRecord, emit_jsonl, template_tokens
+from ventureval.prompts import ChatMessage, ChatRecord, emit_jsonl, render_prompt, template_tokens
+from test_cli_fuzz import assert_exit_0_or_3, mutated
 
 runner = CliRunner()
 
@@ -35,16 +39,20 @@ def run_ok(*args):
 
 
 class OracleHandler(BaseHTTPRequestHandler):
-    """Answers with the true label for the company named in the prompt."""
+    """Answers with the true label for the company named in the prompt, and
+    "Unsuccessful" when the prompt names none it knows. Records each
+    request's messages."""
 
     labels_by_name = {}
+    requests = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
+        self.requests.append(payload["messages"])
         content = payload["messages"][-1]["content"]
         match = re.search(r"^Name: (.*)$", content, re.MULTILINE)
-        label = self.labels_by_name[match.group(1)]
+        label = self.labels_by_name.get(match.group(1)) if match else None
         word = "Successful" if label == 1 else "Unsuccessful"
         body = json.dumps(
             {
@@ -134,11 +142,20 @@ def test_full_pipeline_with_oracle_endpoint(tmp_path, oracle_server):
            "--out", str(out_dir / "eval" / "rescore.json"))
     assert_rescore_matches(out_dir / "eval" / "report.json", out_dir / "eval" / "rescore.json")
 
-    # structured log lines: one JSON object per completed stage
-    stages = [json.loads(line)["stage"] for line in log.read_text().splitlines()]
+    # structured log lines: one JSON object per completed stage, with the
+    # seconds of the sub-steps that _timed marks
+    entries = [json.loads(line) for line in log.read_text().splitlines()]
+    stages = [entry["stage"] for entry in entries]
     for stage in ("synth", "ingest", "features", "split", "prompts",
                   "train-baseline", "eval-endpoint", "score"):
         assert stage in stages
+    sub_steps = {"features": ["load_s", "derive_s", "write_s"],
+                 "prompts": ["read_s", "render_s", "budget_s", "write_s"]}
+    for entry in entries:
+        keys = sub_steps.get(entry["stage"], [])
+        assert all(type(entry[key]) is float and 0 <= entry[key] <= entry["duration_s"]
+                   for key in keys), entry
+    assert stages.count("prompts") == 2
 
 
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -184,6 +201,21 @@ def test_data_stages_never_load_numpy(tmp_path, oracle_server):
         result = run_python(NUMPY_PROBE, *args)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "numpy loaded: False", args
+
+
+def test_ingest_loads_neither_features_nor_prompts(tmp_path):
+    run_ok("synth", "--synth-config", str(CONFIG_DIR / "synth_threshold.json"),
+           "--out", str(tmp_path / "data"), "--n", "30", "--seed", "5")
+    probe = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('loaded:', [m for m in ('ventureval.features',"
+        " 'ventureval.prompts') if m in sys.modules]))\n"
+        "from ventureval.cli import main\n"
+        "main(prog_name='ventureval')\n"
+    )
+    result = run_python(probe, "ingest", "--data-dir", tmp_path / "data", "--out", tmp_path / "out")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "loaded: []"
 
 
 def test_package_import_does_not_load_numpy():
@@ -730,6 +762,50 @@ def test_shots_from_an_inference_pool_exit_with_data_error(tmp_path):
     assert result.exit_code == 3, result.output
     assert f"{pool_path}:1: exemplars must be completed supervised records" in result.output
     assert RecordingHandler.requests == []
+
+
+def eval_inputs():
+    """A V4 inference dataset of three companies and an SFT exemplar pool of
+    four, as file contents, and the oracle's labels for their names."""
+    def profiles(prefix, n):
+        return [dataclasses.replace(GOLDEN_PROFILE, org_id=f"{prefix}{i}", name=f"{prefix} {i}",
+                                    success=i % 2) for i in range(n)]
+
+    contents = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, mode, n in (("dataset", "inference", 3), ("pool", "sft", 4)):
+            path = Path(tmp) / f"{name}.jsonl"
+            emit_jsonl([render_prompt(p, mode=mode) for p in profiles(name, n)], path)
+            contents[name] = path.read_bytes()
+    return contents, {p.name: p.success for p in profiles("dataset", 3)}
+
+
+EVAL_INPUTS, EVAL_LABELS = eval_inputs()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_eval_endpoint_survives_a_mutated_dataset_or_pool(oracle_server, data):
+    """Exit 0, or exit 3 naming the mutated file before any request is sent."""
+    which = data.draw(st.sampled_from(sorted(EVAL_INPUTS)))
+    OracleHandler.labels_by_name = EVAL_LABELS
+    OracleHandler.requests = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {name: tmp / f"{name}.jsonl" for name in EVAL_INPUTS}
+        for name, content in EVAL_INPUTS.items():
+            paths[name].write_bytes(content)
+        paths[which].write_bytes(data.draw(mutated(EVAL_INPUTS[which], jsonl=True)))
+        result = invoke("eval-endpoint", "--dataset", str(paths["dataset"]), "--shots", "2",
+                        "--exemplars", str(paths["pool"]), "--max-retries", "0",
+                        "--base-url", f"http://127.0.0.1:{oracle_server.server_address[1]}",
+                        "--out", str(tmp / "eval"))
+        assert_exit_0_or_3(result, paths[which])
+    if result.exit_code == 3:
+        assert OracleHandler.requests == []
+    else:
+        assert len(OracleHandler.requests) == json.loads(result.output.splitlines()[-1])["records"]
 
 
 def test_features_creates_its_out_dir(tmp_path):

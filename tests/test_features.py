@@ -1,10 +1,14 @@
 """Feature derivation, imputation, stats, balancing and splits."""
 
 import dataclasses
+import json
 import math
 import random
+import sys
+import tempfile
 from collections import Counter
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +19,20 @@ from ventureval.errors import DataError
 from ventureval.features import (
     AGE_SENTINEL,
     FEATURE_COLUMNS,
+    FLAG_PROFILE_FIELDS,
+    PROFILE_FIELDS,
+    TEXT_PROFILE_FIELDS,
+    CompanyProfile,
     SplitSpec,
+    _check_text,
+    _decode_line,
     _largest_remainder,
     balance_dataset,
     compute_age,
     corpus_stats,
     derive_profiles,
     feature_vector,
+    read_jsonl,
     read_profiles_jsonl,
     split_dataset,
     write_profiles_jsonl,
@@ -330,3 +341,96 @@ def test_profiles_jsonl_round_trip(tmp_path, golden_profile):
     n = write_profiles_jsonl([golden_profile], path)
     assert n == 1
     assert read_profiles_jsonl(path) == [golden_profile]
+
+
+def field_by_field_profile(obj: dict) -> CompanyProfile:
+    """The profile reader's check before its one-pass fast path: the
+    reference that _profile_from_dict must agree with."""
+    values = {name: obj[name] for name in PROFILE_FIELDS}
+    # type(), not isinstance: a JSON true or false is neither a number nor a flag.
+    for name in TEXT_PROFILE_FIELDS:
+        _check_text(name, values[name])
+    for name in FEATURE_COLUMNS:
+        value = values[name]
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} is not a finite number: {value!r}")
+    for name in FLAG_PROFILE_FIELDS:
+        value = values[name]
+        if type(value) is not int or value not in (0, 1):
+            raise ValueError(f"{name} is not 0 or 1: {value!r}")
+    return CompanyProfile(**values)
+
+
+_any_json_value = st.sampled_from(
+    [None, True, False, 0, 1, 2, -1, 1.5, -0.0, 10**400, -(10**400), 1e308, math.inf, -math.inf,
+     math.nan, "", "x", "é", "\ud800", "a\udcffb", [], {}, [1]]
+)
+_profile_value = {
+    **{name: st.one_of(st.text(max_size=4), _any_json_value) for name in TEXT_PROFILE_FIELDS},
+    **{name: st.one_of(st.integers(-5, 10**6), st.floats(), _any_json_value)
+       for name in FEATURE_COLUMNS},
+    **{name: st.one_of(st.sampled_from([0, 1]), _any_json_value) for name in FLAG_PROFILE_FIELDS},
+}
+
+
+@st.composite
+def profile_lines(draw):
+    """One JSONL line: a written profile with some fields given other values
+    (any JSON type, non-finite, lone surrogates), dropped, or joined by other keys."""
+    obj = dataclasses.asdict(GOLDEN_PROFILE)
+    for name in draw(st.lists(st.sampled_from(PROFILE_FIELDS), max_size=4)):
+        obj[name] = draw(_profile_value[name])
+    for name in draw(st.lists(st.sampled_from(PROFILE_FIELDS), max_size=1)):
+        del obj[name]
+    if draw(st.booleans()):
+        obj[draw(st.sampled_from(["extra", "org_id"]))] = draw(_any_json_value)
+    keys = draw(st.permutations(sorted(obj)))
+    return json.dumps({key: obj[key] for key in keys}) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(profile_lines())
+def test_profile_reader_agrees_with_the_field_by_field_check(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profiles.jsonl"
+        path.write_text(line, encoding="utf-8")
+        outcomes = []
+        for read in (lambda: read_jsonl(path, field_by_field_profile),
+                     lambda: read_profiles_jsonl(path)):
+            try:
+                outcomes.append(read())
+            except DataError as exc:
+                outcomes.append(str(exc))
+    expected, got = outcomes
+    assert got == expected
+    if isinstance(got, list):
+        (profile,) = got
+        assert vars(profile) == vars(expected[0])
+        assert [type(v) for v in dataclasses.astuple(profile)] == \
+            [type(v) for v in dataclasses.astuple(expected[0])]
+        assert dataclasses.replace(profile) == profile == CompanyProfile(**dataclasses.asdict(profile))
+        assert hash(profile) == hash(expected[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.name = "other"
+
+
+_json_documents = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=4,
+).map(json.dumps)
+_line_edges = st.sampled_from(["", " ", "\t", "\n", "\r\n", " \n", "\ufeff", "\x0b", "\u2028", "\x85",
+                               "x", "]", "}", "{", ",1", "\"", "0"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=12), st.tuples(_line_edges, _json_documents, _line_edges).map("".join)))
+def test_line_decoding_matches_json_loads(line):
+    def outcome(decode):
+        try:
+            return "ok", repr(decode(line))
+        except ValueError as exc:
+            return "error", str(exc)
+
+    assert outcome(_decode_line) == outcome(json.loads)

@@ -1,5 +1,6 @@
 """Prompt rendering, chat serialization, budgets, sampling, manifests."""
 
+import dataclasses
 import json
 import random
 import re
@@ -454,6 +455,44 @@ def test_closed_form_budget_matches_search(name, description, variant, mode,
         assert count_tokens(serialize_chat(got)) <= budget
         assert got.messages[0].content[: record.description_start] == user[: record.description_start]
         assert got.messages[1:] == record.messages[1:]
+
+
+hostile_text = st.one_of(st.just(""), guard_inputs, labelled_text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_text, hostile_text, st.sampled_from(VARIANTS), st.sampled_from(["sft", "inference"]),
+       st.booleans(), st.booleans(), st.floats(-2.0, 1e12), st.floats(0.0, 1e15),
+       st.lists(st.tuples(hostile_text, hostile_text, st.integers(0, 1)), max_size=2), st.data())
+def test_stored_token_count_matches_serialised_count(name, description, variant, mode,
+                                                     include_description, leakage_guard,
+                                                     age, raised, exemplar_parts, data):
+    """render_prompt counts a record from its parts, and enforce_budget counts
+    the cut record; both equal the count of the whole serialised record."""
+    exemplars = [
+        render_prompt(profile(org_id=f"ex{i}", name=n, description=d, success=label),
+                      variant=variant, mode="sft", leakage_guard=leakage_guard)
+        for i, (n, d, label) in enumerate(exemplar_parts)
+    ] if mode == "inference" else []
+    record = render_prompt(profile(name=name, description=description, age_years=age,
+                                   total_raised_usd=raised),
+                           variant=variant, mode=mode, exemplars=exemplars,
+                           include_description=include_description, leakage_guard=leakage_guard)
+    total = count_tokens(serialize_chat(record))
+    assert record.token_count == total
+    # From one token short of the description's marker alone to ample.
+    rendered = sanitize_text(description, leakage_guard) if include_description else ""
+    budget = data.draw(st.integers(total - count_tokens(rendered), total))
+    cut = budget_outcome(enforce_budget, record, budget)
+    if isinstance(cut, ChatRecord):
+        assert cut.token_count == count_tokens(serialize_chat(cut))
+
+
+def test_stored_token_count_is_not_copied_by_replace():
+    record = render_prompt(profile(), variant="V4", mode="inference")
+    longer = dataclasses.replace(record, messages=record.messages * 2)
+    assert record.token_count is not None and longer.token_count is None
+    assert enforce_budget(longer, max_tokens=2 * record.token_count - 1) is not longer
 
 
 # --------------------------------------------------------------- fewshot

@@ -8,12 +8,14 @@ import socket
 import subprocess
 import sys
 import threading
+import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 import ventureval
+from ventureval import _retry
 from ventureval._retry import RetryableFailure, post_json, run_with_retries
 from ventureval.client import EndpointConfig, chat_complete
 from ventureval.errors import TransportError
@@ -143,6 +145,30 @@ def test_closed_port_exhausts_retries():
     assert [round(s, 6) for s in sleeps] == [
         entry["backoff_s"] for entry in excinfo.value.attempts[:2]
     ]
+
+
+def test_backoff_generator_is_made_at_the_first_backoff(monkeypatch):
+    made = []
+
+    def counting_random(*args):
+        made.append(args)
+        return random.Random(*args)
+
+    monkeypatch.setattr(_retry, "random", types.SimpleNamespace(Random=counting_random))
+    for _ in range(3):
+        assert run_with_retries(lambda: (200, "ok"), 3, sleep=pytest.fail)[0] == "ok"
+    assert made == []
+    script = iter([(503, ""), (503, ""), (200, "ok")])
+    run_with_retries(lambda: next(script), 3, sleep=lambda s: None)
+    assert made == [()]
+
+    # An injected generator is the one drawn from, as before.
+    script = iter([(503, ""), (503, ""), (200, "ok")])
+    sleeps = []
+    run_with_retries(lambda: next(script), 3, sleep=sleeps.append, rng=random.Random(5))
+    draws = random.Random(5)
+    assert sleeps == [1.0 * draws.random(), 2.0 * draws.random()]
+    assert len(made) == 1
 
 
 def test_stalled_server_times_out(server):
