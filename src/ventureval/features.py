@@ -111,9 +111,10 @@ def _profile(values: dict) -> CompanyProfile:
     PROFILE_FIELDS, and nothing else, to its value."""
     profile = object.__new__(CompanyProfile)
     # Pairs, not the dict: merging a dict copies its key table into the
-    # instance, while pairs go into the table that all profiles share. On
-    # CPython 3.11 that is about 270 bytes a profile against 530 (and 210
-    # through __init__).
+    # instance, while pairs go into the table that all profiles share. The
+    # price is memory: asking for __dict__ makes CPython 3.11 build one, so
+    # a profile takes about 270 bytes against 210 through __init__ (530
+    # when merging the dict); 100k profiles hold 27.2 MB against 20.8 MB.
     profile.__dict__.update(values.items())
     return profile
 
@@ -409,21 +410,6 @@ def _jsonl_lines(path):
                 yield lineno, line
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _decode_line(line: str):
-    """``json.loads(line)``: the same object, or the same error. A line that
-    raw_decode takes whole skips the checks json.loads makes first (for a
-    BOM and leading whitespace); any other line goes to json.loads."""
-    try:
-        obj, end = _raw_decode(line)
-    except ValueError:
-        return json.loads(line)
-    # What json.loads accepts after a document: JSON whitespace only.
-    return json.loads(line) if line[end:].strip(" \t\n\r") else obj
-
-
 def read_jsonl(path, build) -> list:
     """``build(obj)`` for each JSON object line of ``path``; blank lines are
     skipped. A line that is not UTF-8, not a JSON object, or whose object
@@ -432,7 +418,7 @@ def read_jsonl(path, build) -> list:
     out = []
     for lineno, line in _jsonl_lines(path):
         try:
-            obj = _decode_line(line)
+            obj = json.loads(line)
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: not JSON: {exc}")
         if not isinstance(obj, dict):

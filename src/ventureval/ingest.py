@@ -27,8 +27,7 @@ from typing import Optional
 from .errors import DataError
 
 # The one description of the six tables: each kind's columns in file order,
-# with the column type that parses and writes them (see _CELL_PARSERS and
-# _COLUMN_FORMATS).
+# with the column type that parses and writes them (see _COLUMN_TYPES).
 SCHEMA = {
     "organizations": (
         ("org_id", "key"),
@@ -157,37 +156,29 @@ def _parse_amount(text: str) -> Optional[float]:
     return value
 
 
-def _empty(column: str):
-    raise ValueError(f"empty {column}")
+def _parse_key(text: str, column: str) -> str:
+    value = text.strip()
+    if not value:
+        raise ValueError(f"empty {column}")
+    return value
 
 
-class _DateMemo(dict):
-    """``memo[text]`` is ``parse_iso_date(text)``, parsed once per distinct
-    text: dates repeat a lot within a table."""
-
-    def __missing__(self, text):
-        value = self[text] = parse_iso_date(text)
-        return value
-
-
-# Column type -> the expression that parses the text of ``{cell}`` in a row
-# parser (see _row_parser). It raises ValueError with the reason a RowError
-# records.
+# Column type -> (parse(cell, column), format(value) or None to write the
+# value as is). Parsers raise ValueError with the reason a RowError records.
+# The csv writer writes None as "" and any other value as str(value), which
+# for a date is its ISO form.
 #   key: stripped, must not be empty      id: stripped, may be empty
 #   text: kept as is                      date: ISO date, or empty -> None
 #   amount: finite number >= 0, or empty -> None
-_CELL_PARSERS = {
-    "key": "{cell}.strip() or _empty({column!r})",
-    "id": "{cell}.strip()",
-    "text": "{cell}",
-    "date": "dates[{cell}]",
-    "amount": "_parse_amount({cell})",
-}
-
-# Column type -> format(value) for write_table. The csv writer writes None
-# as "" and any other value as str(value), which for a date is its ISO form.
-_COLUMN_FORMATS = {
-    "amount": lambda value: str(int(value)) if value == int(value) else repr(value),
+_COLUMN_TYPES = {
+    "key": (_parse_key, None),
+    "id": (lambda text, column: text.strip(), None),
+    "text": (lambda text, column: text, None),
+    "date": (lambda text, column: parse_iso_date(text), None),
+    "amount": (
+        lambda text, column: _parse_amount(text),
+        lambda value: str(int(value)) if value == int(value) else repr(value),
+    ),
 }
 
 
@@ -204,13 +195,13 @@ def undecodable(text: str) -> Optional[str]:
     return f"not UTF-8: byte 0x{ord(found.group()) - 0xDC00:02x}" if found else None
 
 
-def _unique(values: tuple, seen: set, column: str) -> None:
+def _unique(values: list, seen: set, column: str) -> None:
     if values[-1] in seen:
         raise ValueError(f"duplicate {column} {values[-1]!r}")
     seen.add(values[-1])
 
 
-def _not_self_acquired(values: tuple, seen: set, column: str) -> None:
+def _not_self_acquired(values: list, seen: set, column: str) -> None:
     if values[0] == values[1]:
         raise ValueError(f"acquiree equals acquirer: {values[0]!r}")
 
@@ -228,32 +219,23 @@ _ROW_RULES = {
 def _row_parser(kind: str, positions: list):
     """``parse(record) -> row`` for the data records of one ``load_table``
     call: ``positions`` holds the index of each SCHEMA column of ``kind`` in
-    a record, and the record must be long enough to have them all.
+    a record, and the record must be long enough to have them all. The
+    rules' seen keys last for the one call."""
+    steps = [
+        (pos, _COLUMN_TYPES[ctype][0], column, _ROW_RULES.get((kind, column)))
+        for (column, ctype), pos in zip(SCHEMA[kind], positions)
+    ]
+    row_type, seen = ROW_TYPES[kind], set()
 
-    The parser is generated from SCHEMA as one line per column, each rule
-    straight after its column, so that a row pays no loop or call per
-    column. Its rules' seen keys and its date memo last for the one call.
-    """
-    lines = ["def parse(record):"]
-    names = []
-    for (column, ctype), pos in zip(SCHEMA[kind], positions):
-        names.append(f"v{len(names)}")
-        cell = _CELL_PARSERS[ctype].format(cell=f"record[{pos}]", column=column)
-        lines.append(f"    {names[-1]} = {cell}")
-        if (kind, column) in _ROW_RULES:
-            lines.append(f"    rules[{column!r}](({', '.join(names)},), seen, {column!r})")
-    lines.append(f"    return new_row(row_type, ({', '.join(names)},))")
-    namespace = {
-        "_empty": _empty,
-        "_parse_amount": _parse_amount,
-        "dates": _DateMemo(),
-        "rules": {column: rule for (table, column), rule in _ROW_RULES.items() if table == kind},
-        "seen": set(),
-        "new_row": tuple.__new__,
-        "row_type": ROW_TYPES[kind],
-    }
-    exec("\n".join(lines), namespace)
-    return namespace["parse"]
+    def parse(record):
+        values = []
+        for pos, parse_cell, column, rule in steps:
+            values.append(parse_cell(record[pos], column))
+            if rule is not None:
+                rule(values, seen, column)
+        return tuple.__new__(row_type, values)  # what row_type._make does, less its checks
+
+    return parse
 
 
 def _physical_columns(mapping: dict, kind: str) -> list:
@@ -322,7 +304,7 @@ def write_table(rows, path, kind, mapping=None) -> None:
     column names, which ``identity_mapping()`` reads back).
     """
     header = _physical_columns(mapping or identity_mapping(), kind)
-    formats = [_COLUMN_FORMATS.get(ctype) for _, ctype in SCHEMA[kind]]
+    formats = [_COLUMN_TYPES[ctype][1] for _, ctype in SCHEMA[kind]]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -25,7 +25,6 @@ from ventureval.features import (
     CompanyProfile,
     SplitSpec,
     _check_text,
-    _decode_line,
     _largest_remainder,
     balance_dataset,
     compute_age,
@@ -413,24 +412,3 @@ def test_profile_reader_agrees_with_the_field_by_field_check(line):
         with pytest.raises(dataclasses.FrozenInstanceError):
             profile.name = "other"
 
-
-_json_documents = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
-    lambda inner: st.one_of(st.lists(inner, max_size=2),
-                            st.dictionaries(st.text(max_size=2), inner, max_size=2)),
-    max_leaves=4,
-).map(json.dumps)
-_line_edges = st.sampled_from(["", " ", "\t", "\n", "\r\n", " \n", "\ufeff", "\x0b", "\u2028", "\x85",
-                               "x", "]", "}", "{", ",1", "\"", "0"])
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.one_of(st.text(max_size=12), st.tuples(_line_edges, _json_documents, _line_edges).map("".join)))
-def test_line_decoding_matches_json_loads(line):
-    def outcome(decode):
-        try:
-            return "ok", repr(decode(line))
-        except ValueError as exc:
-            return "error", str(exc)
-
-    assert outcome(_decode_line) == outcome(json.loads)
