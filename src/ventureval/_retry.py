@@ -16,11 +16,9 @@ from .errors import TransportError
 BACKOFF_BASE_S = 1.0
 BACKOFF_FACTOR = 2.0
 
-RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
-
 
 def _is_retryable(status: int) -> bool:
-    return status in RETRYABLE_STATUS or status >= 500
+    return status == 429 or status >= 500
 
 
 class RetryableFailure(Exception):

@@ -156,7 +156,7 @@ def _eval_summary(result) -> dict:
         cuts = statistics.quantiles(latencies, n=100, method="inclusive")
     statuses = [o.response.parse_status for o in result.outcomes]
     return {
-        "report": result.report.to_dict(),
+        "report": dataclasses.asdict(result.report),
         "parse_failures": result.parse_failures,
         "transport_failures": result.transport_failures,
         "n_records": len(result.outcomes),
@@ -331,7 +331,7 @@ def stats_cmd(ctx, profiles_path, out_path):
     _require_file(profiles_path, "run `ventureval features` first")
     profiles = features_mod.read_profiles_jsonl(profiles_path)
     stats = features_mod.corpus_stats(profiles)
-    _write_json(out_path, stats.to_dict())
+    _write_json(out_path, dataclasses.asdict(stats))
     return {"profiles": stats.n_total, "positive_ratio": round(stats.positive_ratio, 4)}
 
 
@@ -497,7 +497,7 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
     _write_json(
         model_dir / "report.json",
         {
-            "test": metrics_report.to_dict(),
+            "test": dataclasses.asdict(metrics_report),
             "config": dataclasses.asdict(model_config),
             "final_train_logloss": model.train_loss[-1] if model.train_loss else None,
         },

@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DataError
 from .ingest import SURROGATE_RE, CompanyStore, undecodable
@@ -57,23 +57,6 @@ FEATURE_COLUMNS = (
     "num_executives",
 )
 
-PROFILE_FIELDS = (
-    "org_id",
-    "name",
-    "description",
-    "age_years",
-    "total_raised_usd",
-    "num_funding_rounds",
-    "num_investors",
-    "num_acquisitions_made",
-    "num_executives",
-    "had_ipo",
-    "was_acquired",
-    "success",
-    "age_imputed",
-    "raised_imputed",
-)
-
 # A profile holds three strings, the six FEATURE_COLUMNS numbers and five
 # 0/1 flags.
 TEXT_PROFILE_FIELDS = ("org_id", "name", "description")
@@ -83,8 +66,7 @@ _FLOAT_MAX = sys.float_info.max
 DESC_TOKEN_BUCKETS = (0, 8, 16, 32, 64, 128, 256, 512)
 
 
-@dataclass(frozen=True)
-class CompanyProfile:
+class CompanyProfile(NamedTuple):
     org_id: str
     name: str
     description: str
@@ -102,24 +84,7 @@ class CompanyProfile:
     raised_imputed: int
 
 
-# A frozen dataclass's __init__ sets each field with object.__setattr__, 14
-# calls a profile; the reader and derive_profiles fill the instance dict
-# instead. A dataclass compares, copies and converts through its fields, so
-# equality, dataclasses.replace and asdict see no difference.
-def _profile(values: dict) -> CompanyProfile:
-    """A CompanyProfile holding ``values``, which maps each name in
-    PROFILE_FIELDS, and nothing else, to its value."""
-    profile = object.__new__(CompanyProfile)
-    # Pairs, not the dict: merging a dict copies its key table into the
-    # instance, while pairs go into the table that all profiles share. The
-    # price is memory: asking for __dict__ makes CPython 3.11 build one, so
-    # a profile takes about 270 bytes against 210 through __init__ (530
-    # when merging the dict); 100k profiles hold 27.2 MB against 20.8 MB.
-    profile.__dict__.update(values.items())
-    return profile
-
-
-_profile_values = operator.attrgetter(*PROFILE_FIELDS)
+PROFILE_FIELDS = CompanyProfile._fields
 
 
 _EXECUTIVE_RE = re.compile(
@@ -190,22 +155,22 @@ def derive_profiles(store: CompanyStore, reference_date: date = DEFAULT_REFERENC
         had_ipo = 1 if org_id in public else 0
         was_acquired = 1 if org_id in acquired else 0
         profiles.append(
-            _profile({
-                "org_id": org_id,
-                "name": org.name,
-                "description": org.description,
-                "age_years": age,
-                "total_raised_usd": float(sum(raised)),
-                "num_funding_rounds": rounds,
-                "num_investors": investors.get(org_id, 0),
-                "num_acquisitions_made": acquisitions_made.get(org_id, 0),
-                "num_executives": executives.get(org_id, 0),
-                "had_ipo": had_ipo,
-                "was_acquired": was_acquired,
-                "success": had_ipo | was_acquired,
-                "age_imputed": 1 if date_source is None else 0,
-                "raised_imputed": 1 if (rounds and not raised) else 0,
-            })
+            CompanyProfile(
+                org_id=org_id,
+                name=org.name,
+                description=org.description,
+                age_years=age,
+                total_raised_usd=float(sum(raised)),
+                num_funding_rounds=rounds,
+                num_investors=investors.get(org_id, 0),
+                num_acquisitions_made=acquisitions_made.get(org_id, 0),
+                num_executives=executives.get(org_id, 0),
+                had_ipo=had_ipo,
+                was_acquired=was_acquired,
+                success=had_ipo | was_acquired,
+                age_imputed=1 if date_source is None else 0,
+                raised_imputed=1 if (rounds and not raised) else 0,
+            )
         )
     return profiles, anomalies
 
@@ -244,16 +209,6 @@ class CorpusStats:
     positive_ratio: float
     desc_token_histogram: dict
     feature_summary: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "n_positive": self.n_positive,
-            "n_negative": self.n_negative,
-            "positive_ratio": self.positive_ratio,
-            "desc_token_histogram": self.desc_token_histogram,
-            "feature_summary": self.feature_summary,
-        }
 
 
 def corpus_stats(profiles) -> CorpusStats:
@@ -379,7 +334,7 @@ def write_profiles_csv(profiles, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_FIELDS)
-        writer.writerows(map(_profile_values, profiles))
+        writer.writerows(profiles)
 
 
 # json.dumps(obj, ensure_ascii=False), without the new encoder that
@@ -392,7 +347,7 @@ def write_profiles_jsonl(profiles, path) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for p in profiles:
-            fh.write(encode_json(dict(zip(PROFILE_FIELDS, _profile_values(p)))) + "\n")
+            fh.write(encode_json(p._asdict()) + "\n")
             count += 1
     return count
 
@@ -457,18 +412,17 @@ _BITS = frozenset((0, 1))
 def _profile_from_dict(obj: dict) -> CompanyProfile:
     """The profile ``obj`` holds, or ValueError naming its first bad field.
 
-    One pass checks every field; only an object that fails it (or holds
-    other keys too) is checked again field by field, which words the error.
+    One pass checks every field; only an object that fails it is checked
+    again field by field, which words the error. Other keys are ignored.
     """
     values = _dict_values(obj)  # a KeyError names the first missing field
     if (
-        len(obj) == len(PROFILE_FIELDS)
-        and tuple(map(type, values)) in _PROFILE_TYPES
+        tuple(map(type, values)) in _PROFILE_TYPES
         and {*values[_FLAGS]} <= _BITS
         and all(map(_FLOAT_MAX.__ge__, map(abs, values[_NUMBERS])))
         and not undecodable("".join(values[_TEXTS]))  # no lone surrogate
     ):
-        return _profile(obj)
+        return tuple.__new__(CompanyProfile, values)  # CompanyProfile._make less its checks
     return _checked_profile(dict(zip(PROFILE_FIELDS, values)))
 
 

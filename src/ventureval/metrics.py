@@ -43,17 +43,6 @@ class ClassificationReport:
     support_positive: int
     support_negative: int
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1_positive": self.f1_positive,
-            "f1_macro": self.f1_macro,
-            "support_positive": self.support_positive,
-            "support_negative": self.support_negative,
-        }
-
     def format_table(self) -> str:
         rows = [
             ("accuracy", self.accuracy),

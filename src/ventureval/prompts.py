@@ -242,34 +242,22 @@ def template_justification(profile: CompanyProfile) -> str:
     return f"The company shows {clauses}, which gives little indication of a successful outcome."
 
 
-def render_target(profile: CompanyProfile) -> str:
-    return (
-        f"Prediction: {LABEL_WORDS[profile.success]}\n"
-        f"Justification: {template_justification(profile)}"
-    )
-
-
 def render_prompt(
     profile: CompanyProfile,
     variant: str = "V4",
     mode: str = "inference",
-    exemplars=(),
     include_description: bool = True,
     leakage_guard: bool = True,
 ) -> ChatRecord:
     """Compile one profile into a chat record.
 
-    ``mode='sft'`` appends the assistant target turn; ``exemplars`` (already
-    compiled supervised records) are prepended as alternating user/assistant
-    turns for in-context evaluation. The true label rides along in both
-    modes so downstream scoring never needs a side channel.
+    ``mode='sft'`` appends the assistant target turn. The true label rides
+    along in both modes so downstream scoring never needs a side channel.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown prompt variant {variant!r}")
     if mode not in ("inference", "sft"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sft" and exemplars:
-        raise ValueError("exemplars are only supported in inference mode")
 
     description = _description(profile, include_description, leakage_guard)
     render = _render_block if variant in _BLOCK_VARIANTS else _render_inline
@@ -278,20 +266,17 @@ def render_prompt(
     user_text = load_template(variant).format(profile=profile_text).rstrip("\n")
     description_start = len(user_text) - len(description) if description else None
 
-    messages = exemplar_turns(exemplars)
+    messages = [ChatMessage("user", user_text)]
     # The record's tokens are the sum of its parts' (see _FRAMING_TOKENS):
     # each template puts a blank line before {profile}, so no token joins
     # the template text to the profile text.
     tokens = template_tokens(variant) + count_tokens(profile_text)
-    if messages:
-        tokens += count_tokens(serialize_chat(ChatRecord(messages)))
-    messages.append(ChatMessage("user", user_text))
 
     record = ChatRecord(messages=messages, metadata={"org_id": profile.org_id, "variant": variant},
                         label=profile.success, description_start=description_start)
     if mode == "sft":
-        target = render_target(profile)
-        record.justification = template_justification(profile)
+        record.justification = justification = template_justification(profile)
+        target = f"Prediction: {LABEL_WORDS[profile.success]}\nJustification: {justification}"
         messages.append(ChatMessage("assistant", target))
         tokens += _FRAMING_TOKENS + _target_tokens(target)
     record.token_count = tokens

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -161,12 +161,6 @@ class SynthConfig:
                     f"beta[{i}] is nonzero but feature {FEATURE_ORDER[i]} has zero "
                     "spread under this config"
                 )
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["beta"] = list(self.beta)
-        d["age_range_years"] = list(self.age_range_years)
-        return d
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthConfig":

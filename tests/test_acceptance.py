@@ -234,7 +234,7 @@ def test_c06_imputation_conformance(tmp_path):
 
     def check_all_total(profiles):
         for p in profiles:
-            for field in CompanyProfile.__dataclass_fields__:
+            for field in CompanyProfile._fields:
                 value = getattr(p, field)
                 assert value is not None
                 if isinstance(value, float):

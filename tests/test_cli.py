@@ -298,8 +298,8 @@ def test_single_class_training_split_exits_with_data_error(tmp_path):
     splits = tmp_path / "splits"
     splits.mkdir()
     negatives = [
-        dataclasses.replace(GOLDEN_PROFILE, org_id=f"org{i}", success=0,
-                            total_raised_usd=float(i))
+        GOLDEN_PROFILE._replace(org_id=f"org{i}", success=0,
+                                total_raised_usd=float(i))
         for i in range(200)
     ]
     for name in ("train", "val", "test"):
@@ -326,8 +326,8 @@ def test_train_baseline_does_not_need_a_val_split(tmp_path):
     splits = tmp_path / "splits"
     splits.mkdir()
     profiles = [
-        dataclasses.replace(GOLDEN_PROFILE, org_id=f"org{i}", success=i % 2,
-                            total_raised_usd=float(i % 2))
+        GOLDEN_PROFILE._replace(org_id=f"org{i}", success=i % 2,
+                                total_raised_usd=float(i % 2))
         for i in range(20)
     ]
     write_profiles_jsonl(profiles, splits / "train.jsonl")
@@ -340,7 +340,7 @@ def test_train_baseline_does_not_need_a_val_split(tmp_path):
 def test_threshold_accepts_both_ends(tmp_path, threshold):
     splits = tmp_path / "splits"
     splits.mkdir()
-    profiles = [dataclasses.replace(GOLDEN_PROFILE, org_id=f"org{i}", success=i % 2)
+    profiles = [GOLDEN_PROFILE._replace(org_id=f"org{i}", success=i % 2)
                 for i in range(8)]
     write_profiles_jsonl(profiles, splits / "train.jsonl")
     write_profiles_jsonl(profiles, splits / "test.jsonl")
@@ -543,7 +543,7 @@ def test_score_data_faults_exit_with_data_error(tmp_path, audit, message):
     assert message in result.output
 
 
-PROFILE_LINE = dataclasses.asdict(GOLDEN_PROFILE)
+PROFILE_LINE = GOLDEN_PROFILE._asdict()
 RECORD_LINE = {"messages": [{"role": "user", "content": "company a"}], "label": 1, "org_id": "org0"}
 
 
@@ -668,7 +668,7 @@ def test_score_non_utf8_audit_exits_with_data_error(tmp_path):
 def test_empty_test_split_exits_with_data_error(tmp_path):
     splits = tmp_path / "splits"
     splits.mkdir()
-    profiles = [dataclasses.replace(GOLDEN_PROFILE, org_id=f"org{i}", success=i % 2)
+    profiles = [GOLDEN_PROFILE._replace(org_id=f"org{i}", success=i % 2)
                 for i in range(4)]
     write_profiles_jsonl(profiles, splits / "train.jsonl")
     write_profiles_jsonl([], splits / "test.jsonl")
@@ -768,8 +768,8 @@ def eval_inputs():
     """A V4 inference dataset of three companies and an SFT exemplar pool of
     four, as file contents, and the oracle's labels for their names."""
     def profiles(prefix, n):
-        return [dataclasses.replace(GOLDEN_PROFILE, org_id=f"{prefix}{i}", name=f"{prefix} {i}",
-                                    success=i % 2) for i in range(n)]
+        return [GOLDEN_PROFILE._replace(org_id=f"{prefix}{i}", name=f"{prefix} {i}",
+                                        success=i % 2) for i in range(n)]
 
     contents = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,7 +8,6 @@ bytes, inserts bytes that are not UTF-8, drops or duplicates a line, or
 first object of a list (a prompt record's first message).
 """
 
-import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -73,8 +72,8 @@ def assert_exit_0_or_3(result, *named):
 
 def profile_lines(n=8) -> bytes:
     profiles = [
-        dataclasses.replace(GOLDEN_PROFILE, org_id=f"org{i}", name=f"Company {i}",
-                            success=i % 2, total_raised_usd=float(1000 * i))
+        GOLDEN_PROFILE._replace(org_id=f"org{i}", name=f"Company {i}",
+                                success=i % 2, total_raised_usd=float(1000 * i))
         for i in range(n)
     ]
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,6 +1,6 @@
 """Feature derivation, imputation, stats, balancing and splits."""
 
-import dataclasses
+import csv
 import json
 import math
 import random
@@ -34,6 +34,7 @@ from ventureval.features import (
     read_jsonl,
     read_profiles_jsonl,
     split_dataset,
+    write_profiles_csv,
     write_profiles_jsonl,
 )
 from ventureval.ingest import (
@@ -208,7 +209,7 @@ def make_profile(i, success, description="", raised=0.0):
     base = only_profile(build_store([org(f"c{i}", name=f"Org {i}", description=description)]))
     return base.__class__(
         **{
-            **{f: getattr(base, f) for f in base.__dataclass_fields__},
+            **{f: getattr(base, f) for f in base._fields},
             "org_id": f"c{i}",
             "success": success,
             "total_raised_usd": raised,
@@ -308,7 +309,7 @@ def test_split_deterministic_by_seed():
     stratified=st.booleans(),
 )
 def test_split_partitions_with_largest_remainder_sizes(labels, weights, seed, stratified):
-    profiles = [dataclasses.replace(GOLDEN_PROFILE, org_id=f"c{i}", success=label)
+    profiles = [GOLDEN_PROFILE._replace(org_id=f"c{i}", success=label)
                 for i, label in enumerate(labels)]
     spec = SplitSpec(ratios=tuple(w / sum(weights) for w in weights), seed=seed,
                      stratified=stratified)
@@ -340,6 +341,22 @@ def test_profiles_jsonl_round_trip(tmp_path, golden_profile):
     n = write_profiles_jsonl([golden_profile], path)
     assert n == 1
     assert read_profiles_jsonl(path) == [golden_profile]
+
+
+def test_profiles_csv_has_the_field_header_and_one_row_per_profile(tmp_path, golden_profile):
+    profiles = [
+        golden_profile,
+        golden_profile._replace(org_id="c2", name='Acme, "Inc"', description="one\ntwo, é 東京"),
+        golden_profile._replace(org_id="c3", name="Zoë\r\nCo", description='"quoted", ünïcode'),
+    ]
+    path = tmp_path / "profiles.csv"
+    write_profiles_csv(profiles, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == PROFILE_FIELDS
+    assert [(org_id, name, description) for org_id, name, description, *_ in rows] == \
+        [(p.org_id, p.name, p.description) for p in profiles]
+    assert rows == [[str(value) for value in p] for p in profiles]
 
 
 def field_by_field_profile(obj: dict) -> CompanyProfile:
@@ -376,7 +393,7 @@ _profile_value = {
 def profile_lines(draw):
     """One JSONL line: a written profile with some fields given other values
     (any JSON type, non-finite, lone surrogates), dropped, or joined by other keys."""
-    obj = dataclasses.asdict(GOLDEN_PROFILE)
+    obj = GOLDEN_PROFILE._asdict()
     for name in draw(st.lists(st.sampled_from(PROFILE_FIELDS), max_size=4)):
         obj[name] = draw(_profile_value[name])
     for name in draw(st.lists(st.sampled_from(PROFILE_FIELDS), max_size=1)):
@@ -404,11 +421,10 @@ def test_profile_reader_agrees_with_the_field_by_field_check(line):
     assert got == expected
     if isinstance(got, list):
         (profile,) = got
-        assert vars(profile) == vars(expected[0])
-        assert [type(v) for v in dataclasses.astuple(profile)] == \
-            [type(v) for v in dataclasses.astuple(expected[0])]
-        assert dataclasses.replace(profile) == profile == CompanyProfile(**dataclasses.asdict(profile))
+        assert profile._asdict() == expected[0]._asdict()
+        assert [type(v) for v in profile] == [type(v) for v in expected[0]]
+        assert profile._replace() == profile == CompanyProfile(**profile._asdict())
         assert hash(profile) == hash(expected[0])
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             profile.name = "other"
 

@@ -12,7 +12,7 @@ future founding dates.
 
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import date
 
 from hypothesis import example, given, settings
@@ -235,7 +235,7 @@ def test_one_pass_derivation_matches_the_indexed_store(tables):
     got = derive_profiles(store, REF)
     assert got == expected
     # Equal floats can still differ in sign or repr; compare the bytes written.
-    assert [json.dumps(asdict(p)) for p in got[0]] == [json.dumps(asdict(p)) for p in expected[0]]
+    assert [json.dumps(p._asdict()) for p in got[0]] == [json.dumps(p._asdict()) for p in expected[0]]
 
 
 def test_shared_round_id_counts_investors_for_both_orgs():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR
+from ventureval import prompts
 from ventureval.errors import DataError
 from ventureval.features import CompanyProfile
 from ventureval.prompts import (
@@ -25,6 +26,7 @@ from ventureval.prompts import (
     emit_jsonl,
     emit_training_manifest,
     enforce_budget,
+    exemplar_turns,
     read_records_jsonl,
     render_profile_block,
     render_prompt,
@@ -146,11 +148,21 @@ def test_unknown_variant_rejected():
 
 def test_exemplars_prepend_alternating_turns():
     exemplar = render_prompt(profile(org_id="ex1", success=1), variant="V4", mode="sft")
-    record = render_prompt(
-        profile(org_id="q1"), variant="V4", mode="inference", exemplars=[exemplar]
+    record = render_prompt(profile(org_id="q1"), variant="V4", mode="inference")
+    messages = exemplar_turns([exemplar]) + record.messages
+    assert [m.role for m in messages] == ["user", "assistant", "user"]
+    assert messages[:2] == exemplar.messages and messages[2:] == record.messages
+
+
+def test_sft_justification_is_built_once(monkeypatch):
+    calls = []
+    build = prompts.template_justification
+    monkeypatch.setattr(prompts, "template_justification", lambda p: calls.append(p) or build(p))
+    record = render_prompt(profile(success=1), variant="V4", mode="sft")
+    assert len(calls) == 1
+    assert record.messages[-1].content == (
+        f"Prediction: Successful\nJustification: {record.justification}"
     )
-    roles = [m.role for m in record.messages]
-    assert roles == ["user", "assistant", "user"]
 
 
 # --------------------------------------------------------- justification
@@ -462,21 +474,15 @@ hostile_text = st.one_of(st.just(""), guard_inputs, labelled_text)
 
 @settings(max_examples=300, deadline=None)
 @given(hostile_text, hostile_text, st.sampled_from(VARIANTS), st.sampled_from(["sft", "inference"]),
-       st.booleans(), st.booleans(), st.floats(-2.0, 1e12), st.floats(0.0, 1e15),
-       st.lists(st.tuples(hostile_text, hostile_text, st.integers(0, 1)), max_size=2), st.data())
+       st.booleans(), st.booleans(), st.floats(-2.0, 1e12), st.floats(0.0, 1e15), st.data())
 def test_stored_token_count_matches_serialised_count(name, description, variant, mode,
                                                      include_description, leakage_guard,
-                                                     age, raised, exemplar_parts, data):
+                                                     age, raised, data):
     """render_prompt counts a record from its parts, and enforce_budget counts
     the cut record; both equal the count of the whole serialised record."""
-    exemplars = [
-        render_prompt(profile(org_id=f"ex{i}", name=n, description=d, success=label),
-                      variant=variant, mode="sft", leakage_guard=leakage_guard)
-        for i, (n, d, label) in enumerate(exemplar_parts)
-    ] if mode == "inference" else []
     record = render_prompt(profile(name=name, description=description, age_years=age,
                                    total_raised_usd=raised),
-                           variant=variant, mode=mode, exemplars=exemplars,
+                           variant=variant, mode=mode,
                            include_description=include_description, leakage_guard=leakage_guard)
     total = count_tokens(serialize_chat(record))
     assert record.token_count == total

@@ -171,6 +171,25 @@ def test_backoff_generator_is_made_at_the_first_backoff(monkeypatch):
     assert len(made) == 1
 
 
+@pytest.mark.parametrize("status, retried", [
+    (429, True), (500, True), (503, True), (599, True), (400, False), (404, False), (499, False),
+])
+def test_retry_policy_by_status(status, retried):
+    script = iter([(status, "busy"), (200, "ok")])
+    sleeps = []
+    if retried:
+        body, log = run_with_retries(lambda: next(script), 1, sleep=sleeps.append,
+                                     rng=random.Random(0))
+        assert body == "ok"
+        assert [entry["status"] for entry in log] == [status, 200]
+        assert len(sleeps) == 1
+    else:
+        with pytest.raises(TransportError) as info:
+            run_with_retries(lambda: next(script), 1, sleep=sleeps.append)
+        assert info.value.attempts == [{"attempt": 1, "status": status}]
+        assert sleeps == []
+
+
 def test_stalled_server_times_out(server):
     server.script = [(None, "")]
     with pytest.raises(RetryableFailure):
