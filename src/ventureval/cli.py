@@ -434,8 +434,7 @@ def prompts_cmd(ctx, profiles_path, out_path, variant, mode, budget, balance,
         count = prompts_mod.emit_jsonl(records, out_path)
         if manifest_path or mode == "sft":
             manifest_path = manifest_path or out_path.parent / "training_manifest.json"
-            manifest_path.parent.mkdir(parents=True, exist_ok=True)
-            manifest_path.write_text(prompts_mod.emit_training_manifest(), encoding="utf-8")
+            _write_json(manifest_path, prompts_mod.training_manifest())
     return {"records": count, "variant": variant, "mode": mode}
 
 
@@ -571,7 +570,7 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
     for record in records:
         if record.label is None:
             raise DataError(
-                f"{dataset_path}: record {record.metadata.get('org_id')!r} has no true 0/1 label"
+                f"{dataset_path}: record {record.org_id!r} has no true 0/1 label"
             )
     if shots > 0:
         # Every pool record must be a completed supervised one, not only those drawn.
@@ -590,22 +589,21 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
         eval_dir / "report.json",
         {**summary, "model": endpoint.model, "base_url": endpoint.base_url, "shots": shots},
     )
-    with open(eval_dir / "outcomes.jsonl", "w", encoding="utf-8") as fh:
-        for outcome in result.outcomes:
-            fh.write(
-                features_mod.encode_json(
-                    {
-                        "org_id": outcome.org_id,
-                        "true_label": outcome.true_label,
-                        "predicted_label": outcome.response.label,
-                        "parse_status": outcome.response.parse_status,
-                        "correct": outcome.correct,
-                        "latency_ms": outcome.latency_ms,
-                        "attempts": outcome.attempts,
-                    }
-                )
-                + "\n"
-            )
+    features_mod.write_jsonl(
+        (
+            {
+                "org_id": outcome.org_id,
+                "true_label": outcome.true_label,
+                "predicted_label": outcome.response.label,
+                "parse_status": outcome.response.parse_status,
+                "correct": outcome.correct,
+                "latency_ms": outcome.latency_ms,
+                "attempts": outcome.attempts,
+            }
+            for outcome in result.outcomes
+        ),
+        eval_dir / "outcomes.jsonl",
+    )
     click.echo(result.report.format_table())
     if result.transport_failures == len(result.outcomes):
         raise TransportError("every request failed at the transport level")
@@ -635,9 +633,8 @@ def score_cmd(ctx, audit_path, dataset_path, out_path):
     _require_file(dataset_path, "the dataset supplies true labels")
     labels_by_org = {}
     for record in prompts_mod.read_records_jsonl(dataset_path):
-        org_id = record.metadata.get("org_id")
-        if org_id is not None and record.label is not None:
-            labels_by_org[org_id] = record.label
+        if record.org_id is not None and record.label is not None:
+            labels_by_org[record.org_id] = record.label
     result = client_mod.score_audit_log(audit_path, labels_by_org)
     _write_json(out_path, _eval_summary(result))
     click.echo(result.report.format_table())

@@ -18,13 +18,14 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import metrics
 from ._retry import post_json, run_with_retries
 from .errors import DataError, ProtocolError, TransportError
 from .features import _FLOAT_MAX, _jsonl_lines, encode_json
+from .prompts import message_dicts
 
 PARSED = "parsed"
 FALLBACK_PARSED = "fallback-parsed"
@@ -77,6 +78,8 @@ class EndpointConfig:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
             raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
+        if self.max_completion_tokens < 1:
+            raise ValueError("max_completion_tokens must be >= 1")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.max_retries < 0:
@@ -87,15 +90,7 @@ class EndpointConfig:
 class ParsedResponse:
     label: Optional[int]
     justification: Optional[str]
-    raw: Optional[str]  # None when no completion arrived
     parse_status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "justification": self.justification,
-            "parse_status": self.parse_status,
-        }
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ class CompletionResult:
 
 
 # What a transport or protocol failure scores as: no label, never a guess.
-_NO_COMPLETION = ParsedResponse(label=None, justification=None, raw=None, parse_status=UNPARSEABLE)
+_NO_COMPLETION = ParsedResponse(label=None, justification=None, parse_status=UNPARSEABLE)
 
 
 @dataclass(frozen=True)
@@ -195,20 +190,12 @@ def parse_response(raw: str) -> ParsedResponse:
         justification = jm.group(1).strip() if jm else None
         if justification == "":
             justification = None
-        return ParsedResponse(
-            label=label, justification=justification, raw=raw, parse_status=PARSED
-        )
+        return ParsedResponse(label=label, justification=justification, parse_status=PARSED)
     words = [fm["word"] for fm in _FALLBACK_RE.finditer(raw) if not fm["negator"]]
     if len(words) == 1:
         label = _LABEL_SYNONYMS[words[0].lower()]
-        return ParsedResponse(
-            label=label, justification=None, raw=raw, parse_status=FALLBACK_PARSED
-        )
-    return ParsedResponse(label=None, justification=None, raw=raw, parse_status=UNPARSEABLE)
-
-
-def _record_payload_messages(record) -> list:
-    return [{"role": m.role, "content": m.content} for m in record.messages]
+        return ParsedResponse(label=label, justification=None, parse_status=FALLBACK_PARSED)
+    return ParsedResponse(label=None, justification=None, parse_status=UNPARSEABLE)
 
 
 def _score(outcomes: list) -> EvalResult:
@@ -258,27 +245,23 @@ def run_eval(
         if stop.is_set():
             return
         started = time.monotonic()
+        messages = message_dicts(record.messages)
         error = None
         try:
-            completion = chat_complete(
-                endpoint,
-                _record_payload_messages(record),
-                transport=transport,
-                sleep=sleep,
-                rng=rng,
-            )
-            parsed = parse_response(completion.text)
+            completion = chat_complete(endpoint, messages, transport=transport, sleep=sleep, rng=rng)
+            raw = completion.text
+            parsed = parse_response(raw)
             attempts = completion.attempts
             latency_ms = completion.latency_ms
         except (TransportError, ProtocolError) as exc:
-            parsed, error = _NO_COMPLETION, str(exc)
+            parsed, raw, error = _NO_COMPLETION, None, str(exc)
             attempts = len(exc.attempts) or 1
             latency_ms = (time.monotonic() - started) * 1000.0
         except BaseException:
             stop.set()
             raise
         outcome = results[index] = EvalOutcome(
-            org_id=str(record.metadata.get("org_id", index)),
+            org_id=str(index if record.org_id is None else record.org_id),
             true_label=int(record.label),
             response=parsed,
             latency_ms=latency_ms,
@@ -290,9 +273,9 @@ def run_eval(
         line = encode_json(
             {
                 "org_id": outcome.org_id,
-                "request": _record_payload_messages(record),
-                "raw": parsed.raw,
-                "parsed": parsed.to_dict(),
+                "request": messages,
+                "raw": raw,
+                "parsed": asdict(parsed),
                 "latency_ms": latency_ms,
                 "attempts": attempts,
                 "transport_error": error,

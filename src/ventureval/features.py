@@ -338,18 +338,22 @@ def write_profiles_csv(profiles, path) -> None:
 
 
 # json.dumps(obj, ensure_ascii=False), without the new encoder that
-# json.dumps builds for every call that passes an argument. The JSONL
-# writers share it.
+# json.dumps builds for every call that passes an argument.
 encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def write_profiles_jsonl(profiles, path) -> int:
+def write_jsonl(objs, path) -> int:
+    """Write each object of ``objs`` as one JSON line; returns the count."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for p in profiles:
-            fh.write(encode_json(p._asdict()) + "\n")
+        for obj in objs:
+            fh.write(encode_json(obj) + "\n")
             count += 1
     return count
+
+
+def write_profiles_jsonl(profiles, path) -> int:
+    return write_jsonl(map(CompanyProfile._asdict, profiles), path)
 
 
 def _jsonl_lines(path):

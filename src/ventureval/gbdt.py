@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -255,14 +255,7 @@ def to_json(model: GbdtModel) -> str:
         "format_version": MODEL_FORMAT_VERSION,
         "base_score": model.base_score,
         "n_features": model.n_features,
-        "config": {
-            "n_rounds": model.config.n_rounds,
-            "max_depth": model.config.max_depth,
-            "learning_rate": model.config.learning_rate,
-            "reg_lambda": model.config.reg_lambda,
-            "gamma": model.config.gamma,
-            "min_child_weight": model.config.min_child_weight,
-        },
+        "config": asdict(model.config),
         "trees": [_node_to_dict(t) for t in model.trees],
     }
     return json.dumps(payload, sort_keys=True)

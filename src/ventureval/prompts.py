@@ -16,13 +16,13 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Optional
 
 from .config import VARIANTS
 from .errors import DataError
-from .features import CompanyProfile, _check_text, encode_json, read_jsonl
+from .features import CompanyProfile, _check_text, read_jsonl, write_jsonl
 
 IM_START = "<|im_start|>"
 IM_END = "<|im_end|>"
@@ -90,7 +90,8 @@ class ChatMessage:
 
 @dataclass
 class ChatRecord:
-    """A role-tagged message sequence plus metadata and optional targets.
+    """A role-tagged message sequence plus its company, variant and
+    optional targets, in the order of its JSON line.
 
     Inference records carry only messages; supervised records additionally
     hold the target label/justification and end with the assistant turn
@@ -98,9 +99,10 @@ class ChatRecord:
     """
 
     messages: list
-    metadata: dict = field(default_factory=dict)
     label: Optional[int] = None
     justification: Optional[str] = None
+    org_id: Optional[str] = None
+    variant: Optional[str] = None
     # Offset in the last user message at which the description that
     # render_prompt wrote begins; it runs to the end of that message. None
     # when no description was written. Only enforce_budget reads it, and it
@@ -272,8 +274,8 @@ def render_prompt(
     # the template text to the profile text.
     tokens = template_tokens(variant) + count_tokens(profile_text)
 
-    record = ChatRecord(messages=messages, metadata={"org_id": profile.org_id, "variant": variant},
-                        label=profile.success, description_start=description_start)
+    record = ChatRecord(messages=messages, label=profile.success, org_id=profile.org_id,
+                        variant=variant, description_start=description_start)
     if mode == "sft":
         record.justification = justification = template_justification(profile)
         target = f"Prediction: {LABEL_WORDS[profile.success]}\nJustification: {justification}"
@@ -363,13 +365,7 @@ def enforce_budget(record: ChatRecord, max_tokens: int = MAX_PROMPT_TOKENS) -> C
     cut = ends[keep - 1] if keep else start
     messages = list(record.messages)
     messages[user_idx] = ChatMessage("user", content[:cut] + TRUNCATION_MARKER)
-    cut_record = ChatRecord(
-        messages=messages,
-        metadata=dict(record.metadata),
-        label=record.label,
-        justification=record.justification,
-        description_start=start,
-    )
+    cut_record = replace(record, messages=messages)
     cut_record.token_count = total - len(ends) + keep + 1
     return cut_record
 
@@ -403,13 +399,19 @@ def sample_fewshot(records, k: int, seed: int):
     return chosen
 
 
+def message_dicts(messages) -> list:
+    """The ``{"role", "content"}`` form of ``messages`` that JSON lines and
+    chat-completion requests carry."""
+    return [{"role": m.role, "content": m.content} for m in messages]
+
+
 def record_to_dict(record: ChatRecord) -> dict:
     return {
-        "messages": [{"role": m.role, "content": m.content} for m in record.messages],
+        "messages": message_dicts(record.messages),
         "label": record.label,
         "justification": record.justification,
-        "org_id": record.metadata.get("org_id"),
-        "variant": record.metadata.get("variant"),
+        "org_id": record.org_id,
+        "variant": record.variant,
     }
 
 
@@ -431,22 +433,12 @@ def record_from_dict(obj: dict) -> ChatRecord:
     for name, value in texts.items():
         if value is not None:
             _check_text(name, value)
-    return ChatRecord(
-        messages=chat,
-        metadata={name: texts[name] for name in ("org_id", "variant") if texts[name] is not None},
-        label=label,
-        justification=texts["justification"],
-    )
+    return ChatRecord(messages=chat, label=label, **texts)
 
 
 def emit_jsonl(records, path) -> int:
     """Write one JSON object per record; returns the count written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(encode_json(record_to_dict(record)) + "\n")
-            count += 1
-    return count
+    return write_jsonl(map(record_to_dict, records), path)
 
 
 def read_records_jsonl(path):
@@ -454,7 +446,7 @@ def read_records_jsonl(path):
 
 
 # Fine-tuning configuration exported for any external trainer. Values are
-# constants of this artifact; override individual keys per run if needed.
+# constants of this artifact.
 TRAINING_MANIFEST_DEFAULTS = {
     "epochs": 5,
     "optimizer": "adamw",
@@ -481,14 +473,6 @@ TRAINING_MANIFEST_DEFAULTS = {
 }
 
 
-def training_manifest(overrides=None) -> dict:
-    manifest = json.loads(json.dumps(TRAINING_MANIFEST_DEFAULTS))
-    for key, value in (overrides or {}).items():
-        if key not in manifest:
-            raise ValueError(f"unknown manifest key {key!r}")
-        manifest[key] = value
-    return manifest
-
-
-def emit_training_manifest(overrides=None) -> str:
-    return json.dumps(training_manifest(overrides), indent=2, sort_keys=False) + "\n"
+def training_manifest() -> dict:
+    """A deep copy of TRAINING_MANIFEST_DEFAULTS."""
+    return json.loads(json.dumps(TRAINING_MANIFEST_DEFAULTS))

@@ -24,17 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest
+from .features import FEATURE_COLUMNS, write_jsonl
 
 NOISE_MODES = ("threshold", "logistic")
-
-FEATURE_ORDER = (
-    "age_years",
-    "total_raised_usd",
-    "num_funding_rounds",
-    "num_investors",
-    "num_acquisitions_made",
-    "num_executives",
-)
 
 _MISSING_RATE_FIELDS = ("founded_on", "raised_usd", "announced_on", "description")
 
@@ -123,6 +115,8 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_companies < 0:
             raise ValueError("n_companies must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         try:
             date.fromisoformat(self.reference_date)
         except ValueError:
@@ -158,7 +152,7 @@ class SynthConfig:
         for i, b in enumerate(self.beta):
             if b != 0.0 and stds[i] == 0.0:
                 raise ValueError(
-                    f"beta[{i}] is nonzero but feature {FEATURE_ORDER[i]} has zero "
+                    f"beta[{i}] is nonzero but feature {FEATURE_COLUMNS[i]} has zero "
                     "spread under this config"
                 )
 
@@ -240,12 +234,10 @@ def _sigmoid(z):
 
 @dataclass
 class GeneratedCorpus:
-    out_dir: Path
     table_paths: dict
     ground_truth_path: Path
     ground_truth: list
     n_positive: int
-    bayes_accuracy: float
 
 
 def _round_amounts(rng, config, count: int):
@@ -425,18 +417,12 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
         for i in range(config.n_companies)
     ]
     gt_path = out_dir / "ground_truth.jsonl"
-    with open(gt_path, "w", encoding="utf-8") as fh:
-        for entry in ground_truth:
-            fh.write(json.dumps(entry) + "\n")
-
-    bayes = 1.0 if config.noise == "threshold" else float("nan")
+    write_jsonl(ground_truth, gt_path)
     return GeneratedCorpus(
-        out_dir=out_dir,
         table_paths=table_paths,
         ground_truth_path=gt_path,
         ground_truth=ground_truth,
         n_positive=int(labels.sum()),
-        bayes_accuracy=bayes,
     )
 
 

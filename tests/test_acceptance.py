@@ -344,7 +344,7 @@ def test_c08_fewshot_sampler_regimes():
         records.append(
             ChatRecord(
                 messages=[ChatMessage("user", f"q{i}")],
-                metadata={"org_id": f"c{i}"},
+                org_id=f"c{i}",
                 label=1 if i < 5000 else 0,
             )
         )
@@ -396,7 +396,7 @@ def test_c09_harness_against_mocks(tmp_path):
     balanced = [
         ChatRecord(
             messages=[ChatMessage("user", f"q{i}")],
-            metadata={"org_id": f"b{i}"},
+            org_id=f"b{i}",
             label=i % 2,
         )
         for i in range(400)

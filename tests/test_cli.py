@@ -21,7 +21,9 @@ from conftest import CONFIG_DIR, GOLDEN_PROFILE
 from ventureval.cli import main
 from ventureval.config import RunConfig, derive_seed
 from ventureval.features import write_profiles_jsonl
-from ventureval.prompts import ChatMessage, ChatRecord, emit_jsonl, render_prompt, template_tokens
+from ventureval.prompts import (
+    ChatMessage, ChatRecord, emit_jsonl, render_prompt, template_tokens, training_manifest,
+)
 from test_cli_fuzz import assert_exit_0_or_3, mutated
 
 runner = CliRunner()
@@ -121,8 +123,9 @@ def test_full_pipeline_with_oracle_endpoint(tmp_path, oracle_server):
            "--out", str(out_dir / "test_prompts.jsonl"), "--variant", "V4",
            "--mode", "inference")
 
-    manifest = json.loads((out_dir / "training_manifest.json").read_text())
-    assert manifest["learning_rate"] == 5e-4
+    manifest_text = (out_dir / "training_manifest.json").read_text(encoding="utf-8")
+    assert manifest_text == json.dumps(training_manifest(), indent=2) + "\n"
+    assert json.loads(manifest_text)["learning_rate"] == 5e-4
 
     result = run_ok(*base, "train-baseline", "--splits", str(out_dir / "splits"),
                     "--out", str(out_dir / "baseline"))
@@ -408,7 +411,7 @@ class ScriptedEvalHandler(BaseHTTPRequestHandler):
 def write_eval_dataset(path, contents):
     records = [
         ChatRecord(messages=[ChatMessage("user", text)],
-                   metadata={"org_id": f"org{i}"}, label=i % 2)
+                   org_id=f"org{i}", label=i % 2)
         for i, text in enumerate(contents)
     ]
     emit_jsonl(records, path)
@@ -417,7 +420,8 @@ def write_eval_dataset(path, contents):
 @pytest.mark.parametrize("flag,value", [("--temperature", "nan"), ("--timeout-s", "nan"),
                                         ("--timeout-s", "inf"), ("--timeout-s", "0"),
                                         ("--base-url", "http://127.0.0.1:notaport"),
-                                        ("--base-url", "http://127.0.0.1:99999")])
+                                        ("--base-url", "http://127.0.0.1:99999"),
+                                        ("--max-completion-tokens", "0")])
 def test_eval_endpoint_rejects_non_finite_settings(tmp_path, flag, value):
     dataset = tmp_path / "prompts.jsonl"
     write_eval_dataset(dataset, ["company a"])
@@ -745,7 +749,7 @@ def test_shots_prepend_alternating_exemplar_turns(tmp_path):
     pool = [
         ChatRecord(messages=[ChatMessage("system", "be brief"), ChatMessage("user", f"company {i}"),
                              ChatMessage("assistant", "Prediction: Successful")],
-                   metadata={"org_id": f"ex{i}"}, label=i % 2)
+                   org_id=f"ex{i}", label=i % 2)
         for i in range(6)
     ]
     result, _ = run_with_shots(tmp_path, pool)
@@ -756,7 +760,7 @@ def test_shots_prepend_alternating_exemplar_turns(tmp_path):
 
 def test_shots_from_an_inference_pool_exit_with_data_error(tmp_path):
     pool = [ChatRecord(messages=[ChatMessage("user", f"company {i}")],
-                       metadata={"org_id": f"ex{i}"}, label=i % 2)
+                       org_id=f"ex{i}", label=i % 2)
             for i in range(6)]
     result, pool_path = run_with_shots(tmp_path, pool)
     assert result.exit_code == 3, result.output
@@ -823,7 +827,8 @@ def test_features_creates_its_out_dir(tmp_path):
     ("missing_rates", [], "'missing_rates' must be an object of numbers, got []"),
     ("beta", [0, 1, 0, "1", 0, 0], "'beta' must be a list of numbers"),
     ("reference_date", "June", "reference_date must be an ISO date, got 'June'"),
-], ids=["int-as-string", "dict-as-list", "list-of-strings", "bad-date"])
+    ("seed", -1, "seed must be >= 0"),
+], ids=["int-as-string", "dict-as-list", "list-of-strings", "bad-date", "negative-seed"])
 def test_mistyped_synth_config_is_usage_error(tmp_path, field, value, shown):
     config = json.loads((CONFIG_DIR / "synth_threshold.json").read_text())
     path = tmp_path / "synth.json"
@@ -847,9 +852,12 @@ def test_mistyped_synth_config_is_usage_error(tmp_path, field, value, shown):
     ["train-baseline", "--threshold", "-0.1"],
     ["train-baseline", "--threshold", "1.5"],
     ["prompts", "--profiles", "{profiles}", "--budget", "0"],
+    ["synth", "--synth-config", str(CONFIG_DIR / "synth_threshold.json"), "--out", "{dir}",
+     "--seed", "-5"],
 ], ids=["input-is-dir", "config-is-dir", "synth-config-is-dir", "mapping-is-dir",
         "nan-ratio", "bad-date", "fewshot-0", "rounds-0", "reg-lambda-nan",
-        "threshold-nan", "threshold-negative", "threshold-above-1", "budget-0"])
+        "threshold-nan", "threshold-negative", "threshold-above-1", "budget-0",
+        "synth-seed-negative"])
 def test_bad_command_line_is_usage_error(tmp_path, args):
     profiles = tmp_path / "profiles.jsonl"
     write_profiles_jsonl([GOLDEN_PROFILE] * 4, profiles)

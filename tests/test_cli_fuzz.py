@@ -173,7 +173,7 @@ def test_profile_stage_survives_a_mutated_profile_file(stage, data):
 
 def score_inputs():
     records = [ChatRecord(messages=[ChatMessage("user", f"company {i}")],
-                          metadata={"org_id": f"org{i}"}, label=i % 2)
+                          org_id=f"org{i}", label=i % 2)
                for i in range(4)]
     answers = ["Prediction: Successful", "looks unsuccessful", "no idea", None]
     with tempfile.TemporaryDirectory() as tmp:

@@ -46,7 +46,7 @@ def make_records(n, labels=None):
         records.append(
             ChatRecord(
                 messages=[ChatMessage("user", f"company {i}")],
-                metadata={"org_id": f"c{i}"},
+                org_id=f"c{i}",
                 label=label,
             )
         )
@@ -377,7 +377,7 @@ def test_run_eval_accounting_identity():
 
 
 def test_run_eval_requires_labels():
-    record = ChatRecord(messages=[ChatMessage("user", "x")], metadata={"org_id": "c0"})
+    record = ChatRecord(messages=[ChatMessage("user", "x")], org_id="c0")
     with pytest.raises(ValueError):
         run_eval(ENDPOINT, [record], transport=constant_transport("x"))
 
@@ -391,6 +391,7 @@ def test_run_eval_requires_labels():
         ("timeout_s", float("nan")),
         ("timeout_s", float("inf")),
         ("timeout_s", 0.0),
+        ("max_completion_tokens", 0),
         ("base_url", "http://127.0.0.1:notaport"),
         ("base_url", "http://127.0.0.1:99999"),
         ("base_url", "ftp://mock.local/v1"),

@@ -34,6 +34,7 @@ from ventureval.features import (
     read_jsonl,
     read_profiles_jsonl,
     split_dataset,
+    write_jsonl,
     write_profiles_csv,
     write_profiles_jsonl,
 )
@@ -334,6 +335,25 @@ def test_split_rejects_tiny_corpus():
 def test_split_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(ratios=(0.5, 0.5, 0.5)).validate()
+
+
+def test_write_jsonl_writes_one_line_per_object(tmp_path):
+    objs = [
+        {"name": "Zoë 東京", "n": 1, "x": 0.1, "none": None},
+        {"text": "one\ntwo\r\u2028three", "nested": {"list": [1, "é"]}},
+        {},
+    ]
+    path = tmp_path / "out.jsonl"
+    assert write_jsonl(iter(objs), path) == 3
+    text = path.read_text(encoding="utf-8")
+    assert "Zoë 東京" in text and "\\u" not in text  # non-ASCII text is not escaped
+    lines = text.split("\n")
+    assert lines.pop() == ""  # every line ends with a newline
+    assert [json.loads(line) for line in lines] == objs
+
+    empty = tmp_path / "empty.jsonl"
+    assert write_jsonl([], empty) == 0
+    assert empty.read_bytes() == b""
 
 
 def test_profiles_jsonl_round_trip(tmp_path, golden_profile):

@@ -27,6 +27,20 @@ def test_hand_fixture_first_round_leaf_weight():
     assert abs(root.right.weight - (-1.0 / 1.5)) < 1e-9
 
 
+# The saved hand model, pinned byte for byte: a renamed or missing config key
+# changes it.
+HAND_MODEL_JSON = (
+    '{"base_score": 0.0, "config": {"gamma": 0.0, "learning_rate": 1.0, "max_depth": 1, '
+    '"min_child_weight": 0.0, "n_rounds": 1, "reg_lambda": 1.0}, "format_version": 1, '
+    '"n_features": 1, "trees": [{"feature": 0, "left": {"weight": 0.6666666666666666}, '
+    '"right": {"weight": -0.6666666666666666}, "threshold": 2.0}]}'
+)
+
+
+def test_hand_fixture_serializes_to_the_pinned_json():
+    assert to_json(fit(HAND_X, HAND_Y, HAND_CONFIG)) == HAND_MODEL_JSON
+
+
 def test_hand_fixture_probability_after_one_round():
     model = fit(HAND_X, HAND_Y, HAND_CONFIG)
     (proba,) = predict_proba_many(model, np.array([[1.5]]))

@@ -24,7 +24,6 @@ from ventureval.prompts import (
     ChatRecord,
     count_tokens,
     emit_jsonl,
-    emit_training_manifest,
     enforce_budget,
     exemplar_turns,
     read_records_jsonl,
@@ -323,7 +322,7 @@ def reference_enforce_budget(record, max_tokens):
             truncated = description[: spans[keep - 1][1]] + "…"
         messages = list(record.messages)
         messages[user_idx] = ChatMessage("user", content[:start] + truncated)
-        return ChatRecord(messages, dict(record.metadata), record.label, record.justification)
+        return ChatRecord(messages, record.label, record.justification, record.org_id, record.variant)
 
     lo, hi = 0, len(spans)
     if count_tokens(serialize_chat(candidate(0))) > max_tokens:
@@ -511,7 +510,7 @@ def make_records(n, positive_fraction=0.5):
         records.append(
             ChatRecord(
                 messages=[ChatMessage("user", f"q{i}")],
-                metadata={"org_id": f"c{i}"},
+                org_id=f"c{i}",
                 label=label,
             )
         )
@@ -529,9 +528,7 @@ def test_fewshot_balanced_counts():
 def test_fewshot_full_corpus():
     records = make_records(100)
     subset = sample_fewshot(records, 100, seed=1)
-    assert sorted(r.metadata["org_id"] for r in subset) == sorted(
-        r.metadata["org_id"] for r in records
-    )
+    assert sorted(r.org_id for r in subset) == sorted(r.org_id for r in records)
 
 
 def test_fewshot_seed_determinism():
@@ -567,7 +564,7 @@ def test_emit_jsonl_round_trip(tmp_path, golden_profile):
     path = tmp_path / "records.jsonl"
     assert emit_jsonl([record], path) == 1
     line = json.loads(path.read_text(encoding="utf-8"))
-    assert set(line) == {"messages", "label", "justification", "org_id", "variant"}
+    assert list(line) == ["messages", "label", "justification", "org_id", "variant"]
     assert read_records_jsonl(path) == [record]
 
 
@@ -585,12 +582,3 @@ def test_training_manifest_defaults():
     assert manifest["lora"]["alpha"] == 16
     assert manifest["lora"]["dropout"] == 0.1
 
-
-def test_training_manifest_override_and_validation():
-    manifest = training_manifest({"epochs": 3})
-    assert manifest["epochs"] == 3
-    assert training_manifest()["epochs"] == 5  # defaults untouched
-    with pytest.raises(ValueError):
-        training_manifest({"bogus": 1})
-    parsed = json.loads(emit_training_manifest())
-    assert parsed["rank_sweep"] == [8, 16, 32, 64, 128]

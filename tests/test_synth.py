@@ -1,5 +1,7 @@
 """Synthetic corpus generator: determinism, schema, labels, estimates."""
 
+import json
+
 import pytest
 
 from conftest import CONFIG_DIR
@@ -65,6 +67,8 @@ def test_labels_round_trip_through_pipeline(tmp_path):
     assert not anomalies
     truth = {e["org_id"]: e["label"] for e in result.ground_truth}
     assert all(p.success == truth[p.org_id] for p in profiles)
+    lines = result.ground_truth_path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(entry) for entry in result.ground_truth]
 
 
 def test_exactly_one_event_row_per_positive(tmp_path):
