@@ -43,6 +43,8 @@ EXIT_DATA = 3
 EXIT_TRANSPORT = 4
 
 _PATH = click.Path(path_type=Path)
+# A file output: click rejects a directory (exit 2) before any input is read.
+_FILE = click.Path(path_type=Path, dir_okay=False)
 
 
 def _log(ctx, stage: str, **fields) -> None:
@@ -185,7 +187,7 @@ def _write_json(path, payload) -> None:
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Flat key=value run config; CLI flags take precedence.")
-@click.option("--log-file", type=click.Path(), default=None,
+@click.option("--log-file", type=_FILE, default=None,
               help="Append structured JSONL progress lines here instead of stderr.")
 @click.pass_context
 def main(ctx, config_path, log_file):
@@ -322,7 +324,7 @@ def features_cmd(ctx, ingested_dir, reference_date, out_dir):
 
 @main.command("stats")
 @click.option("--profiles", "profiles_path", type=_PATH, default=_in_out_dir("profiles.jsonl"))
-@click.option("--out", "out_path", type=_PATH, default=_in_out_dir("stats.json"))
+@click.option("--out", "out_path", type=_FILE, default=_in_out_dir("stats.json"))
 @_stage("stats")
 def stats_cmd(ctx, profiles_path, out_path):
     """Corpus statistics: class balance, description lengths, feature ranges."""
@@ -372,7 +374,7 @@ def split_cmd(ctx, profiles_path, splits_dir, ratios, seed, stratified):
 @main.command("prompts")
 @click.option("--profiles", "profiles_path", type=_PATH, default=_in_out_dir("profiles.jsonl"),
               help="Profile JSONL to render (e.g. a split file).")
-@click.option("--out", "out_path", type=_PATH, default=_in_out_dir("prompts.jsonl"))
+@click.option("--out", "out_path", type=_FILE, default=_in_out_dir("prompts.jsonl"))
 @click.option("--variant", type=click.Choice(VARIANTS),
               default=_from_config(lambda c: c.variant))
 @click.option("--mode", default="sft", type=click.Choice(["sft", "inference"]))
@@ -389,7 +391,7 @@ def split_cmd(ctx, profiles_path, splits_dir, ratios, seed, stratified):
 @click.option("--include-description/--no-include-description",
               default=_from_config(lambda c: c.include_description))
 @click.option("--leakage-guard/--no-leakage-guard", default=_from_config(lambda c: c.leakage_guard))
-@click.option("--manifest", "manifest_path", type=_PATH, default=None,
+@click.option("--manifest", "manifest_path", type=_FILE, default=None,
               help="Also write the fine-tuning config manifest here.")
 @_stage("prompts")
 def prompts_cmd(ctx, profiles_path, out_path, variant, mode, budget, balance,
@@ -482,9 +484,10 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
         raise DataError(f"{train_path}: training labels contain a single class")
     if not test:
         raise DataError(f"{test_path}: test split is empty")
-    model = gbdt_mod.fit(
-        features_mod.feature_matrix(train), features_mod.label_vector(train), model_config
-    )
+    with _timed(ctx, "fit_s"):
+        model = gbdt_mod.fit(
+            features_mod.feature_matrix(train), features_mod.label_vector(train), model_config
+        )
     model_dir.mkdir(parents=True, exist_ok=True)
     gbdt_mod.save_model(model, model_dir / "model.json")
 
@@ -499,6 +502,8 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
             "test": dataclasses.asdict(metrics_report),
             "config": dataclasses.asdict(model_config),
             "final_train_logloss": model.train_loss[-1] if model.train_loss else None,
+            "fit_s": ctx.obj["timings"]["fit_s"],
+            "train_loss": model.train_loss,
         },
     )
     click.echo(metrics_report.format_table())
@@ -614,6 +619,7 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
         "transport_failures": result.transport_failures,
         "attempts": summary["attempts"],
         "latency_ms": summary["latency_ms"],
+        "connections": result.connections,
     }
 
 
@@ -621,7 +627,7 @@ def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
 @click.option("--audit", "audit_path", type=_PATH, default=_in_out_dir("eval", "audit.jsonl"))
 @click.option("--dataset", "dataset_path", type=_PATH, default=_in_out_dir("prompts.jsonl"),
               help="Prompt JSONL carrying the true labels (joined on org_id).")
-@click.option("--out", "out_path", type=_PATH,
+@click.option("--out", "out_path", type=_FILE,
               default=_in_out_dir("eval", "rescore_report.json"))
 @_stage("score")
 def score_cmd(ctx, audit_path, dataset_path, out_path):

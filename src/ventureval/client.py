@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import metrics
-from ._retry import post_json, run_with_retries
+from ._retry import Sender, post_json, run_with_retries
 from .errors import DataError, ProtocolError, TransportError
 from .features import _FLOAT_MAX, _jsonl_lines, encode_json
 from .prompts import message_dicts
@@ -124,6 +124,7 @@ class EvalResult:
     report: metrics.ClassificationReport
     parse_failures: int
     transport_failures: int = 0
+    connections: int = 0  # opened by the run's own sender; 0 for an injected transport
 
 
 def chat_complete(
@@ -198,7 +199,7 @@ def parse_response(raw: str) -> ParsedResponse:
     return ParsedResponse(label=None, justification=None, parse_status=UNPARSEABLE)
 
 
-def _score(outcomes: list) -> EvalResult:
+def _score(outcomes: list, connections: int = 0) -> EvalResult:
     """The one scorer behind the live and the offline report. An outcome with
     no label (unparseable, or no completion) counts as the wrong label."""
     preds = [1 - o.true_label if o.response.label is None else o.response.label for o in outcomes]
@@ -207,6 +208,7 @@ def _score(outcomes: list) -> EvalResult:
         report=metrics.report(metrics.confusion(preds, [o.true_label for o in outcomes])),
         parse_failures=sum(o.response.label is None for o in outcomes),
         transport_failures=sum(o.transport_error is not None for o in outcomes),
+        connections=connections,
     )
 
 
@@ -228,6 +230,8 @@ def run_eval(
     parse, latency, attempts) is appended and flushed as the record
     completes, so an exception or interrupt keeps every completed line.
     Audit lines are in completion order; ``score_audit_log`` joins on org_id.
+    Without an injected ``transport``, each worker sends on one persistent
+    connection (``_retry.Sender``), all closed when the run ends.
     """
     endpoint.validate()
     records = list(records)
@@ -285,6 +289,9 @@ def run_eval(
             audit.write(line + "\n")
             audit.flush()
 
+    sender = None
+    if transport is None:
+        transport = sender = Sender()
     audit = open(audit_path, "w", encoding="utf-8") if audit_path is not None else None
     try:
         with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:
@@ -296,9 +303,11 @@ def run_eval(
                 stop.set()  # e.g. Ctrl-C: let in-flight records finish and log
                 raise
     finally:
+        if sender is not None:
+            sender.close()
         if audit is not None:
             audit.close()
-    return _score(results)
+    return _score(results, sender.connections if sender is not None else 0)
 
 
 def score_audit_log(audit_path, labels_by_org) -> EvalResult:

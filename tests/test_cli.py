@@ -153,7 +153,8 @@ def test_full_pipeline_with_oracle_endpoint(tmp_path, oracle_server):
                   "train-baseline", "eval-endpoint", "score"):
         assert stage in stages
     sub_steps = {"features": ["load_s", "derive_s", "write_s"],
-                 "prompts": ["read_s", "render_s", "budget_s", "write_s"]}
+                 "prompts": ["read_s", "render_s", "budget_s", "write_s"],
+                 "train-baseline": ["fit_s"]}
     for entry in entries:
         keys = sub_steps.get(entry["stage"], [])
         assert all(type(entry[key]) is float and 0 <= entry[key] <= entry["duration_s"]
@@ -337,6 +338,10 @@ def test_train_baseline_does_not_need_a_val_split(tmp_path):
     write_profiles_jsonl(profiles[:4], splits / "test.jsonl")
     run_ok("train-baseline", "--splits", str(splits), "--out", str(tmp_path / "baseline"))
     assert (tmp_path / "baseline" / "model.json").exists()
+    report = json.loads((tmp_path / "baseline" / "report.json").read_text())
+    assert len(report["train_loss"]) == report["config"]["n_rounds"]
+    assert report["train_loss"][-1] == report["final_train_logloss"]
+    assert type(report["fit_s"]) is float and report["fit_s"] >= 0
 
 
 @pytest.mark.parametrize("threshold", ["0", "1"])
@@ -457,6 +462,8 @@ def test_eval_report_carries_latency_and_attempts(tmp_path):
     assert line["attempts"] == 4
     assert line["transport_failures"] == 1
     assert line["latency_ms"] == latency
+    # The handler speaks HTTP/1.0, which ends each connection with its answer.
+    assert line["connections"] == 4
 
 
 SHARED_REPORT_KEYS = {"report", "parse_failures", "transport_failures", "n_records",
@@ -854,10 +861,16 @@ def test_mistyped_synth_config_is_usage_error(tmp_path, field, value, shown):
     ["prompts", "--profiles", "{profiles}", "--budget", "0"],
     ["synth", "--synth-config", str(CONFIG_DIR / "synth_threshold.json"), "--out", "{dir}",
      "--seed", "-5"],
+    ["stats", "--profiles", "{profiles}", "--out", "{dir}"],
+    ["prompts", "--profiles", "{profiles}", "--out", "{dir}"],
+    ["prompts", "--profiles", "{profiles}", "--manifest", "{dir}"],
+    ["score", "--audit", "{profiles}", "--dataset", "{profiles}", "--out", "{dir}"],
+    ["--log-file", "{dir}", "stats", "--profiles", "{profiles}"],
 ], ids=["input-is-dir", "config-is-dir", "synth-config-is-dir", "mapping-is-dir",
         "nan-ratio", "bad-date", "fewshot-0", "rounds-0", "reg-lambda-nan",
         "threshold-nan", "threshold-negative", "threshold-above-1", "budget-0",
-        "synth-seed-negative"])
+        "synth-seed-negative", "stats-out-is-dir", "prompts-out-is-dir",
+        "manifest-is-dir", "score-out-is-dir", "log-file-is-dir"])
 def test_bad_command_line_is_usage_error(tmp_path, args):
     profiles = tmp_path / "profiles.jsonl"
     write_profiles_jsonl([GOLDEN_PROFILE] * 4, profiles)

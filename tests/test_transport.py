@@ -1,5 +1,6 @@
 """The stdlib HTTP transport against a real loopback server."""
 
+import base64
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -15,10 +17,11 @@ from pathlib import Path
 import pytest
 
 import ventureval
-from ventureval import _retry
-from ventureval._retry import RetryableFailure, post_json, run_with_retries
-from ventureval.client import EndpointConfig, chat_complete
+from ventureval import _retry, client
+from ventureval._retry import RetryableFailure, Sender, post_json, run_with_retries
+from ventureval.client import EndpointConfig, chat_complete, run_eval
 from ventureval.errors import TransportError
+from ventureval.prompts import ChatMessage, ChatRecord
 
 MESSAGES = [{"role": "user", "content": "hi"}]
 
@@ -50,6 +53,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
             return
         data = body.encode("utf-8")
         self.send_response(status)
+        if 300 <= status < 400:
+            self.send_header("Location", "/moved")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -66,7 +71,7 @@ def server():
     srv.seen = []
     srv.release = threading.Event()
     srv.url = f"http://127.0.0.1:{srv.server_address[1]}"
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield srv
     srv.release.set()
@@ -224,3 +229,194 @@ def test_client_and_metrics_do_not_import_requests():
     )
     assert out.stdout.strip() == "False"
 
+
+def test_302_is_one_non_retryable_attempt(server):
+    server.script = [(302, "moved")]
+    assert post_json(server.url, {"text": "x"}, 5.0) == (302, "moved")
+    server.seen.clear()
+    endpoint = EndpointConfig(base_url=server.url, model="m")
+    with pytest.raises(TransportError) as excinfo:
+        chat_complete(endpoint, MESSAGES, sleep=lambda s: pytest.fail("must not back off"))
+    assert excinfo.value.attempts == [{"attempt": 1, "status": 302}]
+    assert [request["path"] for request in server.seen] == ["/chat/completions"]
+
+
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 with keep-alive. Counts the connections it opens and closes
+    and records each request body; writes each answer's headers and body
+    separately, with Nagle on, like ``http.server`` applications do. With
+    ``server.one_per_connection`` it closes each connection after one
+    answer without saying so, as a server that drops idle sockets does."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.opened += 1
+
+    def finish(self):
+        super().finish()
+        with self.server.lock:
+            self.server.closed += 1
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with self.server.lock:
+            self.server.bodies.append(body)
+        data = completion_body("Prediction: Successful").encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = self.server.one_per_connection
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keepalive():
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
+    srv.lock = threading.Lock()
+    srv.opened = srv.closed = 0
+    srv.bodies = []
+    srv.one_per_connection = False
+    srv.url = f"http://127.0.0.1:{srv.server_address[1]}"
+    thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def eval_records(n):
+    return [ChatRecord(messages=[ChatMessage("user", f"company {i}")], org_id=f"c{i}", label=i % 2)
+            for i in range(n)]
+
+
+def wait_for(condition, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def test_requests_from_one_worker_share_one_connection(keepalive):
+    sender = Sender()
+    try:
+        for i in range(20):
+            assert sender(keepalive.url + "/v1", {"i": i}, 5.0)[0] == 200
+    finally:
+        sender.close()
+    assert keepalive.opened == 1
+    assert sender.connections == 1
+    assert keepalive.bodies == [{"i": i} for i in range(20)]
+
+
+def test_server_that_drops_idle_sockets_gets_each_request_once(keepalive, tmp_path):
+    keepalive.one_per_connection = True
+    endpoint = EndpointConfig(base_url=keepalive.url, model="m", max_in_flight=2)
+    result = run_eval(endpoint, eval_records(30), audit_path=tmp_path / "audit.jsonl",
+                      sleep=lambda s: pytest.fail("must not back off"))
+    texts = sorted(body["messages"][0]["content"] for body in keepalive.bodies)
+    assert texts == sorted(f"company {i}" for i in range(30))
+    assert [o.attempts for o in result.outcomes] == [1] * 30
+    audit = [json.loads(line) for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert [entry["attempts"] for entry in audit] == [1] * 30
+    assert result.connections == keepalive.opened == 30
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="TCP_QUICKACK is Linux-only")
+def test_split_header_and_body_writes_do_not_stall(keepalive):
+    # A delayed ACK against Nagle's algorithm costs about 40 ms an answer:
+    # 8 s for 200 requests.
+    sender = Sender()
+    started = time.monotonic()
+    try:
+        for i in range(200):
+            assert sender(keepalive.url, {"i": i}, 5.0)[0] == 200
+    finally:
+        sender.close()
+    assert time.monotonic() - started < 2.0
+    assert keepalive.opened == 1
+
+
+def test_run_eval_closes_every_connection(keepalive, monkeypatch):
+    # Senders are kept alive here, so only run_eval's own close() can end
+    # their connections.
+    made = []
+
+    class KeptSender(Sender):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(client, "Sender", KeptSender)
+    endpoint = EndpointConfig(base_url=keepalive.url, model="m", max_in_flight=3)
+    result = run_eval(endpoint, eval_records(40), sleep=lambda s: None)
+    assert result.transport_failures == 0
+    assert len(made) == 1
+    assert 1 <= result.connections <= 3
+    assert wait_for(lambda: keepalive.closed == keepalive.opened)
+    assert keepalive.opened == result.connections
+
+
+class ProxyHandler(BaseHTTPRequestHandler):
+    """A forward proxy that answers every request itself and records its
+    request line and proxy credentials; it refuses every tunnel."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.command, self.path, self.headers["Proxy-Authorization"]))
+        data = completion_body("from the proxy").encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def do_CONNECT(self):
+        self.server.seen.append((self.command, self.path, self.headers["Proxy-Authorization"]))
+        self.send_error(502)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def proxy(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), ProxyHandler)
+    srv.seen = []
+    srv.netloc = f"127.0.0.1:{srv.server_address[1]}"
+    thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def test_http_proxy_gets_an_absolute_uri_and_no_proxy_bypasses_it(server, proxy, monkeypatch):
+    monkeypatch.setenv("http_proxy", f"http://ann:p%40ss@{proxy.netloc}")
+    url = server.url + "/v1/chat/completions?x=1"
+    status, text = post_json(url, {"n": 1}, 5.0)
+    assert (status, json.loads(text)["choices"][0]["message"]["content"]) == (200, "from the proxy")
+    credentials = "Basic " + base64.b64encode(b"ann:p@ss").decode()
+    assert proxy.seen == [("POST", url, credentials)]
+    assert server.seen == []
+
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    assert post_json(url, {"n": 2}, 5.0)[0] == 200
+    assert len(proxy.seen) == 1
+    assert [request["path"] for request in server.seen] == ["/v1/chat/completions?x=1"]
+
+
+def test_https_through_a_proxy_opens_a_tunnel(proxy, monkeypatch):
+    monkeypatch.setenv("https_proxy", f"http://ann:secret@{proxy.netloc}")
+    with pytest.raises(RetryableFailure, match="502"):
+        post_json("https://127.0.0.1:8443/v1/chat/completions", {"n": 1}, 5.0)
+    credentials = "Basic " + base64.b64encode(b"ann:secret").decode()
+    assert proxy.seen == [("CONNECT", "127.0.0.1:8443", credentials)]
