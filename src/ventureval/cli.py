@@ -254,23 +254,25 @@ def ingest_cmd(ctx, data_dir, mapping_path, strict, out_dir):
         _require_file(data_dir / f"{kind}.csv", "run `ventureval synth` or point --data-dir at your tables")
     mapping = ingest_mod.load_mapping_file(mapping_path) if mapping_path else None
 
-    store, row_errors = ingest_mod.load_directory(data_dir, mapping=mapping, strict=strict)
-    ingested_dir = out_dir / "ingested"
-    ingested_dir.mkdir(parents=True, exist_ok=True)
-    for kind in ingest_mod.TABLE_KINDS:
-        ingest_mod.write_table(getattr(store, kind), ingested_dir / f"{kind}.csv", kind)
+    with _timed(ctx, "load_s"):
+        store, row_errors = ingest_mod.load_directory(data_dir, mapping=mapping, strict=strict)
     n_errors = sum(len(v) for v in row_errors.values())
-    _write_json(
-        out_dir / "ingest_summary.json",
-        {
-            "integrity": store.integrity,
-            "row_errors": {
-                kind: [{"line": e.line, "reason": e.reason} for e in errs]
-                for kind, errs in row_errors.items()
+    with _timed(ctx, "write_s"):
+        ingested_dir = out_dir / "ingested"
+        ingested_dir.mkdir(parents=True, exist_ok=True)
+        for kind in ingest_mod.TABLE_KINDS:
+            ingest_mod.write_table(getattr(store, kind), ingested_dir / f"{kind}.csv", kind)
+        _write_json(
+            out_dir / "ingest_summary.json",
+            {
+                "integrity": store.integrity,
+                "row_errors": {
+                    kind: [{"line": e.line, "reason": e.reason} for e in errs]
+                    for kind, errs in row_errors.items()
+                },
+                "n_row_errors": n_errors,
             },
-            "n_row_errors": n_errors,
-        },
-    )
+        )
     return {
         "organizations": len(store.organizations),
         "row_errors": n_errors,
@@ -331,8 +333,10 @@ def stats_cmd(ctx, profiles_path, out_path):
     from . import features as features_mod
 
     _require_file(profiles_path, "run `ventureval features` first")
-    profiles = features_mod.read_profiles_jsonl(profiles_path)
-    stats = features_mod.corpus_stats(profiles)
+    with _timed(ctx, "read_s"):
+        profiles = features_mod.read_profiles_jsonl(profiles_path)
+    with _timed(ctx, "stats_s"):
+        stats = features_mod.corpus_stats(profiles)
     _write_json(out_path, dataclasses.asdict(stats))
     return {"profiles": stats.n_total, "positive_ratio": round(stats.positive_ratio, 4)}
 
@@ -355,19 +359,21 @@ def split_cmd(ctx, profiles_path, splits_dir, ratios, seed, stratified):
         )
         spec.validate()
     _require_file(profiles_path, "run `ventureval features` first")
-    profiles = features_mod.read_profiles_jsonl(profiles_path)
-    with _naming(profiles_path):
+    with _timed(ctx, "read_s"):
+        profiles = features_mod.read_profiles_jsonl(profiles_path)
+    with _naming(profiles_path), _timed(ctx, "split_s"):
         train, val, test = features_mod.split_dataset(profiles, spec)
-    splits_dir.mkdir(parents=True, exist_ok=True)
-    counts = {}
-    for name, part in (("train", train), ("val", val), ("test", test)):
-        features_mod.write_profiles_jsonl(part, splits_dir / f"{name}.jsonl")
-        counts[name] = len(part)
-    _write_json(
-        splits_dir / "split_summary.json",
-        {"counts": counts, "seed": spec.seed, "ratios": list(spec.ratios),
-         "stratified": spec.stratified},
-    )
+    with _timed(ctx, "write_s"):
+        splits_dir.mkdir(parents=True, exist_ok=True)
+        counts = {}
+        for name, part in (("train", train), ("val", val), ("test", test)):
+            features_mod.write_profiles_jsonl(part, splits_dir / f"{name}.jsonl")
+            counts[name] = len(part)
+        _write_json(
+            splits_dir / "split_summary.json",
+            {"counts": counts, "seed": spec.seed, "ratios": list(spec.ratios),
+             "stratified": spec.stratified},
+        )
     return counts
 
 
@@ -443,31 +449,22 @@ def prompts_cmd(ctx, profiles_path, out_path, variant, mode, budget, balance,
 @main.command("train-baseline")
 @click.option("--splits", "splits_dir", type=_PATH, default=_in_out_dir("splits"))
 @click.option("--out", "model_dir", type=_PATH, default=_in_out_dir("baseline"))
-@click.option("--rounds", "n_rounds", type=int, default=_from_config(lambda c: c.baseline_n_rounds))
-@click.option("--depth", "max_depth", type=int, default=_from_config(lambda c: c.baseline_max_depth))
-@click.option("--learning-rate", type=float,
-              default=_from_config(lambda c: c.baseline_learning_rate))
-@click.option("--reg-lambda", type=float, default=_from_config(lambda c: c.baseline_reg_lambda))
-@click.option("--gamma", type=float, default=_from_config(lambda c: c.baseline_gamma))
+@click.option("--rounds", "n_rounds", type=int, default=_from_config(lambda c: c.baseline.n_rounds))
+@click.option("--depth", "max_depth", type=int, default=_from_config(lambda c: c.baseline.max_depth))
+@click.option("--learning-rate", type=float, default=_from_config(lambda c: c.baseline.learning_rate))
+@click.option("--reg-lambda", type=float, default=_from_config(lambda c: c.baseline.reg_lambda))
+@click.option("--gamma", type=float, default=_from_config(lambda c: c.baseline.gamma))
 @click.option("--min-child-weight", type=float,
-              default=_from_config(lambda c: c.baseline_min_child_weight))
+              default=_from_config(lambda c: c.baseline.min_child_weight))
 @click.option("--threshold", type=float, default=0.5)
 @_stage("train-baseline")
-def train_baseline_cmd(ctx, splits_dir, model_dir, n_rounds, max_depth,
-                       learning_rate, reg_lambda, gamma, min_child_weight, threshold):
+def train_baseline_cmd(ctx, splits_dir, model_dir, threshold, **baseline):
     """Train the boosted-tree baseline and report on the test split."""
     from . import features as features_mod
     from . import gbdt as gbdt_mod
     from . import metrics as metrics_mod
 
-    model_config = gbdt_mod.GbdtConfig(
-        n_rounds=n_rounds,
-        max_depth=max_depth,
-        learning_rate=learning_rate,
-        reg_lambda=reg_lambda,
-        gamma=gamma,
-        min_child_weight=min_child_weight,
-    )
+    model_config = config_mod.GbdtConfig(**baseline)
     with _usage():
         model_config.validate()
         if not 0 <= threshold <= 1:  # NaN too
@@ -526,89 +523,86 @@ def _exemplar_from_dict(obj: dict):
 @main.command("eval-endpoint")
 @click.option("--dataset", "dataset_path", type=_PATH, default=_in_out_dir("prompts.jsonl"),
               help="Prompt JSONL with true labels (from `prompts`).")
-@click.option("--base-url", default=_from_config(lambda c: c.endpoint_base_url))
-@click.option("--model", "model_name", default=_from_config(lambda c: c.endpoint_model or "default"))
-@click.option("--api-key-env", default=_from_config(lambda c: c.endpoint_api_key_env),
+@click.option("--base-url", default=_from_config(lambda c: c.endpoint.base_url))
+@click.option("--model", default=_from_config(lambda c: c.endpoint.model or "default"))
+@click.option("--api-key-env", default=_from_config(lambda c: c.endpoint.api_key_env),
               help="Environment variable holding the bearer key.")
-@click.option("--temperature", type=float, default=_from_config(lambda c: c.endpoint_temperature))
+@click.option("--temperature", type=float, default=_from_config(lambda c: c.endpoint.temperature))
 @click.option("--max-completion-tokens", type=int,
-              default=_from_config(lambda c: c.endpoint_max_completion_tokens))
-@click.option("--timeout-s", type=float, default=_from_config(lambda c: c.endpoint_timeout_s))
-@click.option("--max-retries", type=int, default=_from_config(lambda c: c.endpoint_max_retries))
-@click.option("--max-in-flight", type=int,
-              default=_from_config(lambda c: c.endpoint_max_in_flight))
-@click.option("--shots", type=int, default=0,
+              default=_from_config(lambda c: c.endpoint.max_completion_tokens))
+@click.option("--timeout-s", type=float, default=_from_config(lambda c: c.endpoint.timeout_s))
+@click.option("--max-retries", type=int, default=_from_config(lambda c: c.endpoint.max_retries))
+@click.option("--max-in-flight", type=int, default=_from_config(lambda c: c.endpoint.max_in_flight))
+@click.option("--shots", type=click.IntRange(min=0), default=0,
               help="Prepend this many in-context exemplars per request.")
 @click.option("--exemplars", "exemplars_path", type=_PATH, default=_in_out_dir("prompts.jsonl"),
               help="Supervised JSONL to draw in-context exemplars from.")
 @click.option("--out", "eval_dir", type=_PATH, default=_in_out_dir("eval"))
 @_stage("eval-endpoint")
-def eval_endpoint_cmd(ctx, dataset_path, base_url, model_name, api_key_env,
-                      temperature, max_completion_tokens, timeout_s, max_retries,
-                      max_in_flight, shots, exemplars_path, eval_dir):
+def eval_endpoint_cmd(ctx, dataset_path, shots, exemplars_path, eval_dir, **endpoint):
     """Evaluate a chat-completion endpoint on a compiled prompt dataset."""
     from . import client as client_mod
     from . import features as features_mod
     from . import prompts as prompts_mod
 
-    if not base_url:
+    if not endpoint["base_url"]:
         raise click.UsageError("--base-url (or endpoint.base_url in the config) is required")
-    endpoint = client_mod.EndpointConfig(
-        base_url=base_url,
-        model=model_name,
-        api_key_env=api_key_env,
-        temperature=temperature,
-        max_completion_tokens=max_completion_tokens,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        max_in_flight=max_in_flight,
-    )
+    endpoint = config_mod.EndpointConfig(**endpoint)
     with _usage():
         endpoint.validate()
     _require_file(dataset_path, "run `ventureval prompts` first")
     if shots > 0:
         _require_file(exemplars_path, "--shots needs --exemplars pointing at a supervised dataset")
 
-    records = prompts_mod.read_records_jsonl(dataset_path)
-    if not records:
-        raise DataError(f"{dataset_path}: dataset is empty")
-    for record in records:
-        if record.label is None:
-            raise DataError(
-                f"{dataset_path}: record {record.org_id!r} has no true 0/1 label"
-            )
-    if shots > 0:
-        # Every pool record must be a completed supervised one, not only those drawn.
-        pool = features_mod.read_jsonl(exemplars_path, _exemplar_from_dict)
-        with _naming(exemplars_path):
-            exemplars = prompts_mod.sample_fewshot(
-                pool, shots, derive_seed(ctx.obj["config"].seed, "exemplars")
-            )
-        turns = prompts_mod.exemplar_turns(exemplars)
-        records = [dataclasses.replace(rec, messages=turns + rec.messages) for rec in records]
+    with _timed(ctx, "read_s"):
+        records = prompts_mod.read_records_jsonl(dataset_path)
+        if not records:
+            raise DataError(f"{dataset_path}: dataset is empty")
+        # The audit names each outcome by org_id and score joins on it, so
+        # each record needs its own.
+        org_ids = set()
+        for number, record in enumerate(records, 1):
+            if record.label is None:
+                raise DataError(f"{dataset_path}: record {record.org_id!r} has no true 0/1 label")
+            if record.org_id is None:
+                raise DataError(f"{dataset_path}: record {number} has no org_id")
+            if record.org_id in org_ids:
+                raise DataError(f"{dataset_path}: org_id {record.org_id!r} appears more than once")
+            org_ids.add(record.org_id)
+        if shots > 0:
+            # Every pool record must be a completed supervised one, not only those drawn.
+            pool = features_mod.read_jsonl(exemplars_path, _exemplar_from_dict)
+            with _naming(exemplars_path):
+                exemplars = prompts_mod.sample_fewshot(
+                    pool, shots, derive_seed(ctx.obj["config"].seed, "exemplars")
+                )
+            turns = prompts_mod.exemplar_turns(exemplars)
+            records = [dataclasses.replace(rec, messages=turns + rec.messages) for rec in records]
 
     eval_dir.mkdir(parents=True, exist_ok=True)
-    result = client_mod.run_eval(endpoint, records, audit_path=eval_dir / "audit.jsonl")
-    summary = _eval_summary(result)
-    _write_json(
-        eval_dir / "report.json",
-        {**summary, "model": endpoint.model, "base_url": endpoint.base_url, "shots": shots},
-    )
-    features_mod.write_jsonl(
-        (
-            {
-                "org_id": outcome.org_id,
-                "true_label": outcome.true_label,
-                "predicted_label": outcome.response.label,
-                "parse_status": outcome.response.parse_status,
-                "correct": outcome.correct,
-                "latency_ms": outcome.latency_ms,
-                "attempts": outcome.attempts,
-            }
-            for outcome in result.outcomes
-        ),
-        eval_dir / "outcomes.jsonl",
-    )
+    with _timed(ctx, "eval_s"):
+        result = client_mod.run_eval(endpoint, records, audit_path=eval_dir / "audit.jsonl")
+    with _timed(ctx, "write_s"):
+        summary = _eval_summary(result)
+        _write_json(
+            eval_dir / "report.json",
+            {**summary, "model": endpoint.model, "base_url": endpoint.base_url, "shots": shots},
+        )
+        features_mod.write_jsonl(
+            (
+                {
+                    "org_id": outcome.org_id,
+                    "true_label": outcome.true_label,
+                    "predicted_label": outcome.response.label,
+                    "parse_status": outcome.response.parse_status,
+                    "correct": outcome.correct,
+                    "latency_ms": outcome.latency_ms,
+                    "attempts": outcome.attempts,
+                }
+                for outcome in result.outcomes
+            ),
+            eval_dir / "outcomes.jsonl",
+        )
     click.echo(result.report.format_table())
     if result.transport_failures == len(result.outcomes):
         raise TransportError("every request failed at the transport level")

@@ -11,18 +11,17 @@ Live and offline runs build their report through the same scorer.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import threading
 import time
-import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import metrics
 from ._retry import Sender, post_json, run_with_retries
+from .config import EndpointConfig
 from .errors import DataError, ProtocolError, TransportError
 from .features import _FLOAT_MAX, _jsonl_lines, encode_json
 from .prompts import message_dicts
@@ -53,37 +52,6 @@ _FALLBACK_RE = re.compile(
     r"(?P<negator>(?:\b(?:not|never|no)|n['’]t)\W*)?\b(?P<word>unsuccessful|successful)\b",
     re.IGNORECASE,
 )
-
-
-@dataclass(frozen=True)
-class EndpointConfig:
-    base_url: str
-    model: str
-    api_key_env: str = ""
-    temperature: float = 0.0
-    max_completion_tokens: int = 128
-    timeout_s: float = 60.0
-    max_retries: int = 3
-    max_in_flight: int = 4
-
-    def validate(self) -> None:
-        try:
-            url = urllib.parse.urlsplit(self.base_url)
-            url.port  # raises ValueError for a non-numeric or out-of-range port
-        except ValueError:
-            url = None
-        if not (url and url.scheme in ("http", "https") and url.hostname):
-            raise ValueError(f"base_url must be an http(s) URL with a valid host and port, got {self.base_url!r}")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
-        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
-            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
-        if self.max_completion_tokens < 1:
-            raise ValueError("max_completion_tokens must be >= 1")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 @dataclass(frozen=True)

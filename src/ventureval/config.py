@@ -1,7 +1,8 @@
 """Run configuration: defaults < config file < CLI flags.
 
 The config file is the same flat ``key = value`` format as the column
-mapping; endpoint and baseline settings use dotted keys
+mapping. The endpoint and baseline settings are the fields of
+``EndpointConfig`` and ``GbdtConfig``, named by dotted keys
 (``endpoint.base_url``, ``baseline.n_rounds``). All stage seeds derive
 from the single root seed, so a whole pipeline run is reproducible from
 one integer.
@@ -9,7 +10,9 @@ one integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+import urllib.parse
+from dataclasses import dataclass, field, fields, replace
 
 from .ingest import parse_kv_file
 
@@ -37,6 +40,57 @@ def derive_seed(root_seed: int, stage: str) -> int:
     return int.from_bytes(digest, "big") % (2**31)
 
 
+@dataclass(frozen=True)
+class GbdtConfig:
+    n_rounds: int = 100
+    max_depth: int = 4
+    learning_rate: float = 0.1
+    reg_lambda: float = 1.0
+    gamma: float = 0.0
+    min_child_weight: float = 1.0
+
+    def validate(self) -> None:
+        if self.n_rounds < 1:
+            raise ValueError("n_rounds must be >= 1")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if not (0.0 < self.learning_rate <= 1.0):
+            raise ValueError("learning_rate must be in (0, 1]")
+        if not (self.reg_lambda >= 0 and self.gamma >= 0 and self.min_child_weight >= 0):  # NaN too
+            raise ValueError("reg_lambda, gamma and min_child_weight must be >= 0")
+
+
+@dataclass(frozen=True)
+class EndpointConfig:
+    base_url: str = ""
+    model: str = ""
+    api_key_env: str = ""
+    temperature: float = 0.0
+    max_completion_tokens: int = 128
+    timeout_s: float = 60.0
+    max_retries: int = 3
+    max_in_flight: int = 4
+
+    def validate(self) -> None:
+        try:
+            url = urllib.parse.urlsplit(self.base_url)
+            url.port  # raises ValueError for a non-numeric or out-of-range port
+        except ValueError:
+            url = None
+        if not (url and url.scheme in ("http", "https") and url.hostname):
+            raise ValueError(f"base_url must be an http(s) URL with a valid host and port, got {self.base_url!r}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
+        if self.max_completion_tokens < 1:
+            raise ValueError("max_completion_tokens must be >= 1")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+
+
 @dataclass
 class RunConfig:
     data_dir: str = "data"
@@ -51,31 +105,26 @@ class RunConfig:
     leakage_guard: bool = True
     strict_ingest: bool = False
     mapping: str = ""
-
-    endpoint_base_url: str = ""
-    endpoint_model: str = ""
-    endpoint_api_key_env: str = ""
-    endpoint_temperature: float = 0.0
-    endpoint_max_completion_tokens: int = 128
-    endpoint_timeout_s: float = 60.0
-    endpoint_max_retries: int = 3
-    endpoint_max_in_flight: int = 4
-
-    baseline_n_rounds: int = 100
-    baseline_max_depth: int = 4
-    baseline_learning_rate: float = 0.1
-    baseline_reg_lambda: float = 1.0
-    baseline_gamma: float = 0.0
-    baseline_min_child_weight: float = 1.0
+    endpoint: EndpointConfig = field(default_factory=EndpointConfig)
+    baseline: GbdtConfig = field(default_factory=GbdtConfig)
 
 
-# Dotted spellings of the endpoint and baseline fields: "endpoint.base_url"
-# names endpoint_base_url.
-_KEY_ALIASES = {
-    f.name.replace("_", ".", 1): f.name
-    for f in fields(RunConfig)
-    if f.name.startswith(("endpoint_", "baseline_"))
-}
+# The nested configs: "endpoint.base_url" names the base_url of endpoint.
+_SECTIONS = ("endpoint", "baseline")
+
+
+def _parsed(config, name: str, raw: str, key: str):
+    """``raw`` converted to the type of ``config``'s field ``name``."""
+    if name not in {f.name for f in fields(config)}:
+        raise ValueError(f"unknown config key {key!r}")
+    current = getattr(config, name)
+    if isinstance(current, bool):
+        return _to_bool(raw)
+    if isinstance(current, int):
+        return int(raw)
+    if isinstance(current, float):
+        return float(raw)
+    return raw
 
 
 def load_run_config(path=None) -> RunConfig:
@@ -83,20 +132,13 @@ def load_run_config(path=None) -> RunConfig:
     config = RunConfig()
     if path is None:
         return config
-    flat = parse_kv_file(path)
-    by_name = {f.name: f for f in fields(RunConfig)}
-    for key, raw in flat.items():
-        name = _KEY_ALIASES.get(key, key)
-        if name not in by_name:
-            raise ValueError(f"unknown config key {key!r}")
-        current = getattr(config, name)
-        if isinstance(current, bool):
-            value = _to_bool(raw)
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
+    for key, raw in parse_kv_file(path).items():
+        section, dot, name = key.rpartition(".")
+        if not dot and key not in _SECTIONS:
+            setattr(config, key, _parsed(config, key, raw, key))
+        elif section in _SECTIONS:
+            nested = getattr(config, section)
+            setattr(config, section, replace(nested, **{name: _parsed(nested, name, raw, key)}))
         else:
-            value = raw
-        setattr(config, name, value)
+            raise ValueError(f"unknown config key {key!r}")
     return config

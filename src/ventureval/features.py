@@ -10,7 +10,6 @@ label marks an exit: the company either went public or was acquired
 from __future__ import annotations
 
 import bisect
-import csv
 import itertools
 import json
 import operator
@@ -24,7 +23,7 @@ from datetime import date
 from typing import NamedTuple, Optional
 
 from .errors import DataError
-from .ingest import SURROGATE_RE, CompanyStore, undecodable
+from .ingest import SURROGATE_RE, CompanyStore, undecodable, write_csv
 
 # Snapshot date the age feature is measured against; override per run.
 DEFAULT_REFERENCE_DATE = date(2025, 6, 11)
@@ -331,10 +330,7 @@ def split_dataset(profiles, spec: SplitSpec):
 
 
 def write_profiles_csv(profiles, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_FIELDS)
-        writer.writerows(profiles)
+    write_csv(path, PROFILE_FIELDS, profiles)
 
 
 # json.dumps(obj, ensure_ascii=False), without the new encoder that

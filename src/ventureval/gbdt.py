@@ -24,30 +24,11 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
+from .config import GbdtConfig
 
 MODEL_FORMAT_VERSION = 1
 
 _PROB_EPS = 1e-15
-
-
-@dataclass(frozen=True)
-class GbdtConfig:
-    n_rounds: int = 100
-    max_depth: int = 4
-    learning_rate: float = 0.1
-    reg_lambda: float = 1.0
-    gamma: float = 0.0
-    min_child_weight: float = 1.0
-
-    def validate(self) -> None:
-        if self.n_rounds < 1:
-            raise ValueError("n_rounds must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not (0.0 < self.learning_rate <= 1.0):
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not (self.reg_lambda >= 0 and self.gamma >= 0 and self.min_child_weight >= 0):  # NaN too
-            raise ValueError("reg_lambda, gamma and min_child_weight must be >= 0")
 
 
 @dataclass

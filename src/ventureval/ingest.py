@@ -303,13 +303,17 @@ def write_table(rows, path, kind, mapping=None) -> None:
     The header holds the physical names of ``mapping`` (default: the logical
     column names, which ``identity_mapping()`` reads back).
     """
-    header = _physical_columns(mapping or identity_mapping(), kind)
     formats = [_COLUMN_TYPES[ctype][1] for _, ctype in SCHEMA[kind]]
+    if any(formats):
+        rows = ([v if f is None or v is None else f(v) for f, v in zip(formats, row)] for row in rows)
+    write_csv(path, _physical_columns(mapping or identity_mapping(), kind), rows)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then each row of ``rows``, as one CSV file."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if any(formats):
-            rows = ([v if f is None or v is None else f(v) for f, v in zip(formats, row)] for row in rows)
         writer.writerows(rows)
 
 

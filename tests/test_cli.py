@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, GOLDEN_PROFILE
 from ventureval.cli import main
-from ventureval.config import RunConfig, derive_seed
+from ventureval.config import EndpointConfig, GbdtConfig, RunConfig, derive_seed
 from ventureval.features import write_profiles_jsonl
 from ventureval.prompts import (
     ChatMessage, ChatRecord, emit_jsonl, render_prompt, template_tokens, training_manifest,
@@ -152,9 +152,13 @@ def test_full_pipeline_with_oracle_endpoint(tmp_path, oracle_server):
     for stage in ("synth", "ingest", "features", "split", "prompts",
                   "train-baseline", "eval-endpoint", "score"):
         assert stage in stages
-    sub_steps = {"features": ["load_s", "derive_s", "write_s"],
+    sub_steps = {"ingest": ["load_s", "write_s"],
+                 "features": ["load_s", "derive_s", "write_s"],
+                 "stats": ["read_s", "stats_s"],
+                 "split": ["read_s", "split_s", "write_s"],
                  "prompts": ["read_s", "render_s", "budget_s", "write_s"],
-                 "train-baseline": ["fit_s"]}
+                 "train-baseline": ["fit_s"],
+                 "eval-endpoint": ["read_s", "eval_s", "write_s"]}
     for entry in entries:
         keys = sub_steps.get(entry["stage"], [])
         assert all(type(entry[key]) is float and 0 <= entry[key] <= entry["duration_s"]
@@ -693,7 +697,10 @@ def test_empty_test_split_exits_with_data_error(tmp_path):
     (["\n"], "dataset is empty"),
     ([json.dumps(RECORD_LINE), json.dumps({**RECORD_LINE, "org_id": "org1", "label": None})],
      "record 'org1' has no true 0/1 label"),
-], ids=["empty", "blank", "unlabeled"])
+    ([json.dumps(RECORD_LINE), json.dumps(RECORD_LINE)], "org_id 'org0' appears more than once"),
+    ([json.dumps(RECORD_LINE), json.dumps({k: v for k, v in RECORD_LINE.items() if k != "org_id"})],
+     "record 2 has no org_id"),
+], ids=["empty", "blank", "unlabeled", "repeated-org-id", "no-org-id"])
 def test_eval_dataset_faults_exit_before_any_request(tmp_path, lines, reason):
     dataset = tmp_path / "prompts.jsonl"
     dataset.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -866,11 +873,12 @@ def test_mistyped_synth_config_is_usage_error(tmp_path, field, value, shown):
     ["prompts", "--profiles", "{profiles}", "--manifest", "{dir}"],
     ["score", "--audit", "{profiles}", "--dataset", "{profiles}", "--out", "{dir}"],
     ["--log-file", "{dir}", "stats", "--profiles", "{profiles}"],
+    ["eval-endpoint", "--dataset", "{profiles}", "--base-url", "http://127.0.0.1:9", "--shots", "-3"],
 ], ids=["input-is-dir", "config-is-dir", "synth-config-is-dir", "mapping-is-dir",
         "nan-ratio", "bad-date", "fewshot-0", "rounds-0", "reg-lambda-nan",
         "threshold-nan", "threshold-negative", "threshold-above-1", "budget-0",
         "synth-seed-negative", "stats-out-is-dir", "prompts-out-is-dir",
-        "manifest-is-dir", "score-out-is-dir", "log-file-is-dir"])
+        "manifest-is-dir", "score-out-is-dir", "log-file-is-dir", "shots-negative"])
 def test_bad_command_line_is_usage_error(tmp_path, args):
     profiles = tmp_path / "profiles.jsonl"
     write_profiles_jsonl([GOLDEN_PROFILE] * 4, profiles)
@@ -946,9 +954,12 @@ def test_config_file_sets_defaults_and_flags_override(tmp_path):
 
 def test_unknown_config_key_is_usage_error(tmp_path):
     config_path = tmp_path / "run.cfg"
-    config_path.write_text("nonsense_key = 1\n", encoding="utf-8")
-    result = invoke("--config", str(config_path), "stats")
-    assert result.exit_code == 2
+    for key in ("nonsense_key", "endpoint", "baseline", "endpoint.nonsense", "endpoint_base_url",
+                "other.seed", ".seed"):
+        config_path.write_text(f"{key} = 1\n", encoding="utf-8")
+        result = invoke("--config", str(config_path), "stats")
+        assert result.exit_code == 2, key
+        assert f"unknown config key {key!r}" in result.output, key
 
 
 def test_config_value_is_checked_like_its_flag(tmp_path):
@@ -1008,7 +1019,7 @@ CONFIG_KEY_CASES = {
     "strict_ingest": ("true", [("ingest", "strict", True)]),
     "mapping": (str(MAPPING_FILE), [("ingest", "mapping_path", str(MAPPING_FILE))]),
     "endpoint.base_url": ("http://h:1", [("eval-endpoint", "base_url", "http://h:1")]),
-    "endpoint.model": ("m1", [("eval-endpoint", "model_name", "m1")]),
+    "endpoint.model": ("m1", [("eval-endpoint", "model", "m1")]),
     "endpoint.api_key_env": ("K1", [("eval-endpoint", "api_key_env", "K1")]),
     "endpoint.temperature": ("0.5", [("eval-endpoint", "temperature", 0.5)]),
     "endpoint.max_completion_tokens": ("7", [("eval-endpoint", "max_completion_tokens", 7)]),
@@ -1025,9 +1036,11 @@ CONFIG_KEY_CASES = {
 
 
 def test_config_key_cases_cover_every_run_config_field():
-    assert {key.replace(".", "_", 1) for key in CONFIG_KEY_CASES} == {
-        f.name for f in dataclasses.fields(RunConfig)
-    }
+    nested = {"endpoint": EndpointConfig, "baseline": GbdtConfig}
+    keys = {f.name for f in dataclasses.fields(RunConfig) if f.name not in nested}
+    for section, config in nested.items():
+        keys |= {f"{section}.{f.name}" for f in dataclasses.fields(config)}
+    assert set(CONFIG_KEY_CASES) == keys
 
 
 @pytest.mark.parametrize("key", sorted(CONFIG_KEY_CASES))
