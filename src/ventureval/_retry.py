@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -31,12 +32,99 @@ class RetryableFailure(Exception):
     """Raised by a transport for network-level failures worth retrying."""
 
 
-def _decode(raw: bytes, headers) -> str:
-    charset = headers.get_content_charset() or "utf-8"
+# http.client's bounds on a line of an answer and on the lines of its head.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# The checks http.client makes before sending: a header name, a header value
+# that would start a new line, and a control character in the request target.
+_LEGAL_NAME = re.compile(rb"[^:\s][^:\r\n]*").fullmatch
+_ILLEGAL_VALUE = re.compile(rb"\n(?![ \t])|\r(?![ \t\n])").search
+_CONTROL = re.compile("[\x00-\x20\x7f]").search
+_CHARSET = re.compile(r';\s*charset\s*=\s*"?([^";\s]*)', re.IGNORECASE).search
+_END_OF_HEAD = (b"\r\n", b"\n", b"")
+
+
+def _field(name, value) -> bytes:
+    name, value = name.encode("ascii"), str(value).encode("latin-1")
+    if not _LEGAL_NAME(name) or _ILLEGAL_VALUE(value):
+        raise ValueError(f"invalid header {name!r}: {value!r}")
+    return b"%s: %s\r\n" % (name, value)
+
+
+def _line(rfile) -> bytes:
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise RetryableFailure(f"answer line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _exactly(rfile, size) -> bytes:
+    data = rfile.read(max(size, 0))
+    if len(data) != size:
+        raise RetryableFailure(f"expected {size} body bytes, got {len(data)}")
+    return data
+
+
+def _read_response(rfile, line) -> tuple:
+    """``(status, text, keep_open)`` of the answer whose status line is
+    ``line``, read from ``rfile`` as http.client reads it, 1xx answers
+    skipped. Malformed HTTP raises RetryableFailure or ValueError."""
+    while True:
+        version, status, *_ = line.decode("latin-1").split(None, 2) + ["", ""]
+        status = int(status)
+        if not (version.startswith("HTTP/1.") or version == "HTTP/0.9") or not 100 <= status <= 999:
+            raise RetryableFailure(f"bad status line {line!r}")
+        fields = {}  # by lower-case name; the first of a repeated one counts
+        for _ in range(_MAX_HEADERS):
+            line = _line(rfile)
+            if line in _END_OF_HEAD:
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            fields.setdefault(name.lower(), value.strip())
+        else:
+            raise RetryableFailure(f"more than {_MAX_HEADERS} head lines")
+        if status >= 200:
+            break
+        line = _line(rfile)
+    keep_open = (version not in ("HTTP/1.0", "HTTP/0.9")
+                 and "close" not in fields.get("connection", "").lower())
+    length = fields.get("content-length", "")
+    if fields.get("transfer-encoding", "").lower() == "chunked":
+        chunks = []
+        while size := int(_line(rfile).partition(b";")[0], 16):
+            chunks.append(_exactly(rfile, size))
+            rfile.read(2)
+        while _line(rfile) not in _END_OF_HEAD:  # the trailer
+            pass
+        body = b"".join(chunks)
+    elif status in (204, 304):
+        body = b""
+    elif length.isdecimal():
+        body = _exactly(rfile, int(length))
+    else:
+        body, keep_open = rfile.read(), False
+    charset = _CHARSET(fields.get("content-type", ""))
     try:
-        return raw.decode(charset, errors="replace")
+        return status, body.decode(charset and charset[1] or "utf-8", errors="replace"), keep_open
     except LookupError:
-        return raw.decode("utf-8", errors="replace")
+        return status, body.decode("utf-8", errors="replace"), keep_open
+
+
+class _Link:
+    """One kept-alive connection: ``http.client`` opens it, TLS and proxy
+    tunnel included; requests and answers then go over its socket."""
+
+    def __init__(self, conn, prefix, host, extra):
+        self.conn, self.prefix, self.extra = conn, prefix, extra
+        host = host.encode("ascii") if host.isascii() else host.encode("idna")
+        self.host = b"Host: %s\r\n" % host
+        self.rfile = None
+
+    def close(self):
+        if self.rfile is not None:
+            self.rfile.close()
+            self.rfile = None
+        self.conn.close()
 
 
 class Sender:
@@ -46,8 +134,13 @@ class Sender:
     Every HTTP status, 3xx included, comes back as a value, so
     ``run_with_retries`` decides what to retry. Connection failures,
     timeouts and malformed HTTP close the connection and raise
-    RetryableFailure. A payload that cannot be encoded (NaN, say) raises
-    ValueError before anything is sent and is never retried.
+    RetryableFailure. A payload that cannot be encoded (NaN, say), an
+    illegal header and a control character in the URL raise ValueError
+    before anything is sent and are never retried.
+
+    ``http.client`` opens each connection; each request then goes out in
+    one write, as http.client would send it, and ``_read_response`` reads
+    the answer.
 
     A request that fails on a reused connection before its status line
     arrives was never answered: the server had closed the idle socket. It is
@@ -61,11 +154,17 @@ class Sender:
     def __init__(self):
         # Imported on first use: http.client, email and ssl add about 30 ms
         # to every CLI process, and only the eval stage sends requests.
+        import socket
         import urllib.request
 
         self._proxies = urllib.request.getproxies()
+        # http.client sets TCP_NODELAY. A server that writes headers and body
+        # separately with Nagle on holds the body back until the headers are
+        # acknowledged, and a delayed ACK makes that about 40 ms a response.
+        quickack = getattr(socket, "TCP_QUICKACK", None)
+        self._quickack = quickack and (socket.IPPROTO_TCP, quickack, 1)
         self._tls = None
-        self._conns = {}
+        self._links = {}
         self._lock = threading.Lock()
         self.connections = 0
 
@@ -73,56 +172,64 @@ class Sender:
         import http.client
 
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        conn, target, extra = self._connection(url, timeout_s)
-        headers = {"User-Agent": USER_AGENT, "Content-Type": "application/json",
-                   **(headers or {}), **extra}
-        reused = conn.sock is not None
+        link, target = self._link(url, timeout_s)
+        if _CONTROL(target):
+            raise ValueError(f"control character in the request target {target!r}")
+        fields = {"User-Agent": USER_AGENT, "Content-Type": "application/json",
+                  **(headers or {}), **link.extra}
+        request = b"".join([b"POST %s HTTP/1.1\r\n" % target.encode("ascii"), link.host,
+                            b"Accept-Encoding: identity\r\nContent-Length: %d\r\n" % len(body),
+                            *(_field(name, value) for name, value in fields.items()),
+                            b"\r\n", body])
+        reused = link.rfile is not None
         try:
             try:
-                response = self._exchange(conn, target, body, headers)
-            except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected is one
+                line = self._send(link, request)
+            except (BrokenPipeError, ConnectionResetError):
                 if not reused:
                     raise
-                conn.close()
-                response = self._exchange(conn, target, body, headers)
-            with response:
-                return response.status, _decode(response.read(), response.headers)
-        except (OSError, http.client.HTTPException) as exc:
-            conn.close()
+                link.close()
+                line = self._send(link, request)
+            status, text, keep_open = _read_response(link.rfile, line)
+        except (OSError, ValueError, RetryableFailure, http.client.HTTPException) as exc:
+            link.close()
             raise RetryableFailure(str(exc))
+        if not keep_open:
+            link.close()
+        return status, text
 
-    def _exchange(self, conn, target, body, headers):
-        import socket
-
-        fresh = conn.sock is None
-        conn.request("POST", target, body, headers)
-        if fresh:
+    def _send(self, link, request) -> bytes:
+        """Sends ``request`` on ``link``, connecting it first if it is
+        closed; returns the first line of the answer."""
+        if link.rfile is None:
+            link.conn.connect()
+            link.rfile = link.conn.sock.makefile("rb")
             with self._lock:
                 self.connections += 1
-        # http.client sets TCP_NODELAY. A server that writes headers and body
-        # separately with Nagle on holds the body back until the headers are
-        # acknowledged, and a delayed ACK makes that about 40 ms a response.
-        quickack = getattr(socket, "TCP_QUICKACK", None)
-        if quickack is not None:
-            conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
-        return conn.getresponse()
+        sock = link.conn.sock
+        sock.sendall(request)
+        if self._quickack:
+            sock.setsockopt(*self._quickack)
+        line = _line(link.rfile)
+        if not line:
+            raise ConnectionResetError("the server closed the connection without answering")
+        return line
 
-    def _connection(self, url, timeout_s):
-        """``(connection, request target, extra headers)`` for ``url`` on
-        this thread; a connection serves one thread, origin and timeout."""
+    def _link(self, url, timeout_s):
+        """``(link, request target)`` for ``url`` on this thread; a link
+        serves one thread, origin and timeout."""
         parts = urllib.parse.urlsplit(url)
         key = (threading.get_ident(), parts.scheme, parts.netloc, timeout_s)
-        entry = self._conns.get(key)
-        if entry is None:
-            entry = self._conns[key] = self._open(parts, timeout_s)
-        conn, prefix, extra = entry
-        target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
-        return conn, prefix + target, extra
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = self._open(parts, timeout_s)
+        return link, link.prefix + (parts.path or "/") + ("?" + parts.query if parts.query else "")
 
     def _open(self, parts, timeout_s):
-        """A new ``(connection, target prefix, extra headers)`` for ``parts``.
+        """A new, unconnected link for ``parts``.
 
-        Through a proxy, plain http sends the absolute URI with the proxy's
+        The Host header names the endpoint as http.client would. Through a
+        proxy, plain http sends the absolute URI with the proxy's
         credentials; https tunnels with CONNECT, which carries them.
         """
         import base64
@@ -139,9 +246,12 @@ class Sender:
             kind = functools.partial(http.client.HTTPSConnection, context=self._tls)
         else:
             kind = http.client.HTTPConnection
+        name = f"[{host}]" if ":" in host else host
+        if port not in (None, 443 if parts.scheme == "https" else 80):
+            name = f"{name}:{port}"
         proxy = self._proxies.get(parts.scheme)
         if not proxy or urllib.request.proxy_bypass(parts.netloc):
-            return kind(host, port, timeout=timeout_s), "", {}
+            return _Link(kind(host, port, timeout=timeout_s), "", name, {})
         proxy = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
         auth = {}
         if proxy.username is not None:
@@ -151,13 +261,13 @@ class Sender:
         conn = kind(proxy.hostname, proxy.port, timeout=timeout_s)
         if parts.scheme == "https":
             conn.set_tunnel(host, port, headers=auth)
-            return conn, "", {}
-        return conn, f"http://{parts.netloc}", auth
+            return _Link(conn, "", name, {})
+        return _Link(conn, f"http://{parts.netloc}", parts.netloc, auth)
 
     def close(self) -> None:
-        for conn, _, _ in list(self._conns.values()):
-            conn.close()
-        self._conns.clear()
+        for link in list(self._links.values()):
+            link.close()
+        self._links.clear()
 
 
 def post_json(url, payload, timeout_s, headers=None):

@@ -2,7 +2,7 @@
 
 Speaks the common ``POST {base_url}/chat/completions`` JSON dialect.
 Transport failures retry with exponential backoff and full jitter; runs
-evaluate records through a bounded worker pool, reassemble outcomes in
+evaluate records on a bounded set of worker threads, reassemble outcomes in
 input order, and append each raw completion to an audit log as it arrives
 so a run can be re-scored offline without touching the endpoint again.
 Live and offline runs build their report through the same scorer.
@@ -15,8 +15,7 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from . import metrics
@@ -197,25 +196,35 @@ def run_eval(
     each record's JSONL line (request, raw completion or ``transport_error``,
     parse, latency, attempts) is appended and flushed as the record
     completes, so an exception or interrupt keeps every completed line.
-    Audit lines are in completion order; ``score_audit_log`` joins on org_id.
-    Without an injected ``transport``, each worker sends on one persistent
-    connection (``_retry.Sender``), all closed when the run ends.
+    Audit lines are in completion order; ``score_audit_log`` joins on
+    org_id, so a record without one, or with one another record holds,
+    raises ValueError before any request is sent. ``max_in_flight`` worker
+    threads take the records in turn. An unexpected error stops them, and the
+    first one is raised once the records in flight are done. Without an
+    injected ``transport``, each worker sends on one persistent connection
+    (``_retry.Sender``), all closed when the run ends.
     """
     endpoint.validate()
     records = list(records)
     if not records:
         raise ValueError("no records to evaluate")
-    for record in records:
+    org_ids = set()
+    for number, record in enumerate(records, 1):
         if record.label not in (0, 1):
             raise ValueError("records must carry a true 0/1 label for scoring")
+        if record.org_id is None:
+            raise ValueError(f"record {number} has no org_id")
+        if str(record.org_id) in org_ids:
+            raise ValueError(f"org_id {record.org_id!r} appears more than once")
+        org_ids.add(str(record.org_id))
 
     results: list = [None] * len(records)
     audit_lock = threading.Lock()
+    pending, pending_lock = enumerate(records), threading.Lock()
     stop = threading.Event()  # set on an unexpected error: start no more records
+    errors = []
 
     def one(index: int, record) -> None:
-        if stop.is_set():
-            return
         started = time.monotonic()
         messages = message_dicts(record.messages)
         error = None
@@ -229,11 +238,8 @@ def run_eval(
             parsed, raw, error = _NO_COMPLETION, None, str(exc)
             attempts = len(exc.attempts) or 1
             latency_ms = (time.monotonic() - started) * 1000.0
-        except BaseException:
-            stop.set()
-            raise
         outcome = results[index] = EvalOutcome(
-            org_id=str(index if record.org_id is None else record.org_id),
+            org_id=str(record.org_id),
             true_label=int(record.label),
             response=parsed,
             latency_ms=latency_ms,
@@ -247,7 +253,7 @@ def run_eval(
                 "org_id": outcome.org_id,
                 "request": messages,
                 "raw": raw,
-                "parsed": asdict(parsed),
+                "parsed": vars(parsed),  # its flat fields, without asdict's deep copy
                 "latency_ms": latency_ms,
                 "attempts": attempts,
                 "transport_error": error,
@@ -257,24 +263,40 @@ def run_eval(
             audit.write(line + "\n")
             audit.flush()
 
+    def work() -> None:
+        try:
+            while not stop.is_set():
+                with pending_lock:
+                    item = next(pending, None)
+                if item is None:
+                    return
+                one(*item)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
     sender = None
     if transport is None:
         transport = sender = Sender()
     audit = open(audit_path, "w", encoding="utf-8") if audit_path is not None else None
+    workers = []
     try:
-        with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:
-            futures = [pool.submit(one, i, r) for i, r in enumerate(records)]
-            try:
-                for future in futures:
-                    future.result()
-            except BaseException:
-                stop.set()  # e.g. Ctrl-C: let in-flight records finish and log
-                raise
+        for _ in range(min(endpoint.max_in_flight, len(records))):
+            worker = threading.Thread(target=work)
+            worker.start()
+            workers.append(worker)
+        for worker in workers:
+            worker.join()
     finally:
+        stop.set()  # e.g. Ctrl-C: let in-flight records finish and log
+        for worker in workers:
+            worker.join()
         if sender is not None:
             sender.close()
         if audit is not None:
             audit.close()
+    if errors:
+        raise errors[0]
     return _score(results, sender.connections if sender is not None else 0)
 
 

@@ -170,10 +170,12 @@ SRC_DIR = Path(__file__).parent.parent / "src"
 PERFBENCH_DIR = Path(__file__).parent.parent / "perfbench"
 
 # Runs the CLI on its arguments and prints, as the process exits, whether
-# NumPy was ever loaded.
+# NumPy was ever loaded and which of the HTTP client's modules were.
 NUMPY_PROBE = """
 import atexit, sys
 atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules))
+atexit.register(lambda: print("http loaded:",
+                              [m for m in ("http.client", "ssl", "email") if m in sys.modules]))
 from ventureval.cli import main
 main(prog_name="ventureval")
 """
@@ -209,6 +211,10 @@ def test_data_stages_never_load_numpy(tmp_path, oracle_server):
         result = run_python(NUMPY_PROBE, *args)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "numpy loaded: False", args
+        # Only eval-endpoint sends requests; every other stage skips the
+        # transport's imports (about 30 ms a process).
+        if args[0] != "eval-endpoint":
+            assert result.stdout.splitlines()[-2] == "http loaded: []", args
 
 
 def test_ingest_loads_neither_features_nor_prompts(tmp_path):

@@ -382,6 +382,25 @@ def test_run_eval_requires_labels():
         run_eval(ENDPOINT, [record], transport=constant_transport("x"))
 
 
+def never_called(url, payload, timeout_s, headers):
+    pytest.fail("no request may be sent")
+
+
+def test_run_eval_rejects_a_record_without_org_id():
+    records = make_records(3)
+    records[1] = ChatRecord(messages=[ChatMessage("user", "x")], label=1)
+    with pytest.raises(ValueError, match="record 2 has no org_id"):
+        run_eval(ENDPOINT, records, transport=never_called)
+
+
+def test_run_eval_rejects_a_repeated_org_id(tmp_path):
+    # The audit joins on org_id: two records sharing one cannot be re-scored.
+    records = make_records(3) + [ChatRecord(messages=[ChatMessage("user", "y")], org_id="c1", label=0)]
+    with pytest.raises(ValueError, match="'c1' appears more than once"):
+        run_eval(ENDPOINT, records, transport=never_called, audit_path=tmp_path / "audit.jsonl")
+    assert not (tmp_path / "audit.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

@@ -1,11 +1,15 @@
 """The stdlib HTTP transport against a real loopback server."""
 
 import base64
+import http.client
+import io
 import json
 import math
 import os
 import random
+import re
 import socket
+import socketserver
 import subprocess
 import sys
 import threading
@@ -15,6 +19,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ventureval
 from ventureval import _retry, client
@@ -420,3 +426,260 @@ def test_https_through_a_proxy_opens_a_tunnel(proxy, monkeypatch):
         post_json("https://127.0.0.1:8443/v1/chat/completions", {"n": 1}, 5.0)
     credentials = "Basic " + base64.b64encode(b"ann:secret").decode()
     assert proxy.seen == [("CONNECT", "127.0.0.1:8443", credentials)]
+
+
+# ------------------------------------------------- the exchange on the wire
+
+
+class RawHandler(socketserver.StreamRequestHandler):
+    """Records each request's bytes and answers it with ``server.answer``
+    verbatim; acknowledges a CONNECT and reads the tunnelled request on the
+    same socket. With ``server.close`` it hangs up after one answer."""
+
+    def handle(self):
+        server = self.server
+        server.connections += 1
+        while True:
+            lines = [self.rfile.readline()]
+            while lines[-1] not in (b"\r\n", b""):
+                lines.append(self.rfile.readline())
+            if lines[-1] == b"":
+                return
+            head = b"".join(lines)
+            if head.startswith(b"CONNECT "):
+                server.requests.append(head)
+                self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                continue
+            length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head)[1])
+            server.requests.append(head + self.rfile.read(length))
+            self.wfile.write(server.answer)
+            if server.close:
+                return
+
+
+@pytest.fixture
+def raw(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    srv = socketserver.ThreadingTCPServer(("127.0.0.1", 0), RawHandler)
+    srv.requests, srv.connections, srv.close = [], 0, False
+    srv.answer = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+    srv.netloc = f"127.0.0.1:{srv.server_address[1]}"
+    srv.url = "http://" + srv.netloc
+    thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+class PlainTunnel(http.client.HTTPConnection):
+    """An HTTPSConnection without TLS, so the tunnelled request can be read."""
+
+    default_port = http.client.HTTPS_PORT
+
+    def __init__(self, *args, context=None, **kwargs):
+        super().__init__(*args, **kwargs)
+
+
+def http_client_request(conn, target, body, headers, tunnel=None):
+    """The bytes ``conn.request`` sends for this POST."""
+    sent = []
+    conn.send = sent.append
+    if tunnel is not None:
+        conn.set_tunnel(tunnel)
+    conn.request("POST", target, body, headers)
+    return b"".join(sent)
+
+
+@pytest.mark.parametrize("route", ["direct", "http proxy", "https tunnel"])
+def test_request_bytes_are_those_http_client_sends(raw, monkeypatch, route):
+    payload = {"model": "m", "messages": [{"role": "user", "content": "café ✓"}]}
+    body = json.dumps(payload).encode("utf-8")
+    headers = {"User-Agent": _retry.USER_AGENT, "Content-Type": "application/json",
+               "Authorization": "Bearer k"}
+    host, port = raw.server_address
+    if route == "direct":
+        url = raw.url + "/v1/chat/completions"
+        expected = http_client_request(http.client.HTTPConnection(host, port),
+                                       "/v1/chat/completions", body, headers)
+    elif route == "http proxy":
+        monkeypatch.setenv("http_proxy", f"http://ann:p%40ss@{raw.netloc}")
+        url = "http://example.test:8080/v1/chat/completions?x=1"
+        credentials = "Basic " + base64.b64encode(b"ann:p@ss").decode()
+        expected = http_client_request(http.client.HTTPConnection(host, port), url, body,
+                                       {**headers, "Proxy-Authorization": credentials})
+    else:
+        monkeypatch.setenv("https_proxy", f"http://{raw.netloc}")
+        url = "https://example.test/v1/chat/completions"
+        expected = http_client_request(http.client.HTTPSConnection(host, port),
+                                       "/v1/chat/completions", body, headers, "example.test")
+        monkeypatch.setattr(http.client, "HTTPSConnection", PlainTunnel)
+    assert post_json(url, payload, 5.0, {"Content-Type": "application/json",
+                                         "Authorization": "Bearer k"}) == (200, "ok")
+    assert raw.requests[-1] == expected
+    if route == "https tunnel":
+        assert raw.requests[0].startswith(b"CONNECT example.test:443 HTTP/1.0\r\n")
+
+
+@pytest.mark.parametrize("path, headers", [
+    ("/v1", {"Authorization": "Bearer k\r\nX-Injected: 1"}),
+    ("/v1", {"Authorization": "Bearer k\nX-Injected: 1"}),
+    ("/v1", {"X-Bad\r\nX-Injected": "1"}),
+    ("/v1", {" Folded": "1"}),
+    ("/v1", {"Bad:Name": "1"}),
+    ("/v1/a b", {}),
+    ("/v1/a\x01b", {}),
+    ("/v1/a\x7fb", {}),
+])
+def test_an_unsafe_request_raises_before_anything_is_sent(raw, path, headers):
+    sender = Sender()
+    try:
+        with pytest.raises(ValueError):
+            sender(raw.url + path, {"n": 1}, 5.0, headers)
+    finally:
+        sender.close()
+    assert sender.connections == raw.connections == 0
+
+
+def test_a_key_that_would_inject_a_header_is_never_sent(raw, monkeypatch):
+    monkeypatch.setenv("TRANSPORT_TEST_KEY", "k\r\nX-Injected: 1")
+    endpoint = EndpointConfig(base_url=raw.url, model="m", api_key_env="TRANSPORT_TEST_KEY")
+    with pytest.raises(ValueError):
+        chat_complete(endpoint, MESSAGES, sleep=lambda s: pytest.fail("must not back off"))
+    assert raw.connections == 0
+
+
+def head_line(size):
+    """A header line of ``size`` bytes, CRLF included."""
+    return b"X-Long: " + b"a" * (size - 10) + b"\r\n"
+
+
+@pytest.mark.parametrize("answer", [
+    b"HTTP/1.1 200 OK\r\n" + head_line(65537) + b"Content-Length: 2\r\n\r\nok",
+    b"HTTP/1.1 200 OK\r\n" + b"X-Pad: 1\r\n" * 101 + b"Content-Length: 2\r\n\r\nok",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nok",
+    b"HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\nok",
+    b"SMTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+])
+def test_a_malformed_answer_is_a_failed_attempt(raw, answer):
+    raw.answer, raw.close = answer, True
+    sender = Sender()
+    try:
+        with pytest.raises(RetryableFailure):
+            sender(raw.url, {"n": 1}, 5.0)
+        # The connection was closed: the next request opens another.
+        raw.answer = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        assert sender(raw.url, {"n": 2}, 5.0) == (200, "ok")
+    finally:
+        sender.close()
+    assert sender.connections == 2
+
+
+@pytest.mark.parametrize("answer, connections", [
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", 1),
+    (b"HTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", 1),
+    (b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", 2),
+    (b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok", 2),
+])
+def test_the_connection_is_kept_unless_the_answer_ends_it(raw, answer, connections):
+    raw.answer = answer
+    sender = Sender()
+    try:
+        assert [sender(raw.url, {"n": n}, 5.0) for n in range(2)] == [(200, "ok")] * 2
+    finally:
+        sender.close()
+    assert sender.connections == connections
+    assert wait_for(lambda: raw.connections == connections)
+
+
+class Unclosable(io.BytesIO):
+    def close(self):
+        pass
+
+
+def http_client_reads(data):
+    """``(status, text, keep_open, rest)`` as http.client reads ``data``,
+    decoded by the Content-Type charset or UTF-8."""
+    rfile = Unclosable(data)
+    response = http.client.HTTPResponse(types.SimpleNamespace(makefile=lambda mode: rfile),
+                                        method="POST")
+    response.begin()
+    raw = response.read()
+    try:
+        text = raw.decode(response.headers.get_content_charset() or "utf-8", errors="replace")
+    except LookupError:
+        text = raw.decode("utf-8", errors="replace")
+    return response.status, text, not response.will_close, rfile.read()
+
+
+def lean_reads(data):
+    rfile = io.BytesIO(data)
+    return (*_retry._read_response(rfile, rfile.readline(65537)), rfile.read())
+
+
+@pytest.mark.parametrize("answer", [
+    b"HTTP/1.1 200 OK\r\n" + head_line(65536) + b"Content-Length: 2\r\n\r\nok",
+    b"HTTP/1.1 200 OK\r\n" + head_line(65537) + b"Content-Length: 2\r\n\r\nok",
+    b"HTTP/1.1 200 OK\r\n" + b"X-Pad: 1\r\n" * 98 + b"Content-Length: 2\r\n\r\nok",
+    b"HTTP/1.1 200 OK\r\n" + b"X-Pad: 1\r\n" * 99 + b"Content-Length: 2\r\n\r\nok",
+])
+def test_head_bounds_are_http_clients(answer):
+    try:
+        expected = http_client_reads(answer)
+    except http.client.HTTPException:
+        with pytest.raises(RetryableFailure):
+            lean_reads(answer)
+    else:
+        assert lean_reads(answer) == expected
+
+
+CHARSETS = ["utf-8", "UTF-8", "latin-1", "iso-8859-1", "ascii", "utf-16", "cp1252", "x-unknown", ""]
+
+
+@st.composite
+def answers(draw):
+    """An answer's bytes, as a server might send them, and one more byte
+    string after it that the reader must leave where it is."""
+    text = st.text(alphabet="abcXYZ019 -=/", max_size=12)
+    lines = [b"HTTP/1.1 100 Continue\r\n" + b"".join(
+        b"X-Interim: %s\r\n" % value.encode() for value in draw(st.lists(text, max_size=2))
+    ) + b"\r\n" for _ in range(draw(st.integers(0, 2)))]
+    status = draw(st.sampled_from([200, 201, 204, 301, 302, 304, 307, 400, 404, 429, 500, 503]))
+    reason = draw(st.sampled_from(["", " OK", " Some Reason"]))
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    head = [f"{version} {status}{reason}"]
+    charset = draw(st.sampled_from(CHARSETS))
+    head += draw(st.sampled_from([
+        [], ["Content-Type: application/json"],
+        [f"Content-Type: application/json; charset={charset}"],
+        [f'Content-Type: text/plain;Charset="{charset}"'],
+        [f"Content-Type: text/plain; q=1; CHARSET = {charset}"],
+    ]))
+    head += [f"X-Pad-{i}: {value}" for i, value in enumerate(draw(st.lists(text, max_size=4)))]
+    if draw(st.booleans()):
+        head.append("Connection: close")
+    body = draw(st.binary(max_size=300))
+    framing = draw(st.sampled_from(["length", "chunked", "close"]))
+    if framing == "length":
+        head.append(f"Content-Length: {len(body)}")
+    elif framing == "chunked":
+        head.append("Transfer-Encoding: chunked")
+        cuts = sorted(set(draw(st.lists(st.integers(1, max(len(body) - 1, 1)), max_size=4))))
+        pieces = [body[i:j] for i, j in zip([0] + cuts, cuts + [len(body)]) if body[i:j]]
+        size = draw(st.sampled_from(["%x", "%X"]))
+        extension = draw(st.sampled_from(["", ";name=value", "; ext"]))
+        body = b"".join((size % len(piece) + extension + "\r\n").encode() + piece + b"\r\n"
+                        for piece in pieces)
+        trailer = "".join(f"X-Trailer-{i}: 1\r\n" for i in range(draw(st.integers(0, 2))))
+        body += f"0{extension}\r\n{trailer}\r\n".encode()
+    answer = b"".join(lines) + "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body
+    return answer + (b"" if framing == "close" else b"NEXT")
+
+
+@given(answers())
+@settings(max_examples=300, deadline=None)
+def test_the_response_reader_agrees_with_http_client(data):
+    assert lean_reads(data) == http_client_reads(data)
