@@ -194,7 +194,7 @@ def main(ctx, config_path, log_file):
     """Company-data pipeline: synthesize, ingest, featurize, prompt, evaluate."""
     try:
         run_config = config_mod.load_run_config(config_path)
-    except (ValueError, DataError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"bad config file: {exc}")
     ctx.obj = {"config": run_config, "log_file": log_file}
 
@@ -477,11 +477,9 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, threshold, **baseline):
     test = features_mod.read_profiles_jsonl(test_path)
     if not train:
         raise DataError(f"{train_path}: training split is empty")
-    if len({p.success for p in train}) == 1:
-        raise DataError(f"{train_path}: training labels contain a single class")
     if not test:
         raise DataError(f"{test_path}: test split is empty")
-    with _timed(ctx, "fit_s"):
+    with _naming(train_path), _timed(ctx, "fit_s"):
         model = gbdt_mod.fit(
             features_mod.feature_matrix(train), features_mod.label_vector(train), model_config
         )
@@ -556,19 +554,6 @@ def eval_endpoint_cmd(ctx, dataset_path, shots, exemplars_path, eval_dir, **endp
 
     with _timed(ctx, "read_s"):
         records = prompts_mod.read_records_jsonl(dataset_path)
-        if not records:
-            raise DataError(f"{dataset_path}: dataset is empty")
-        # The audit names each outcome by org_id and score joins on it, so
-        # each record needs its own.
-        org_ids = set()
-        for number, record in enumerate(records, 1):
-            if record.label is None:
-                raise DataError(f"{dataset_path}: record {record.org_id!r} has no true 0/1 label")
-            if record.org_id is None:
-                raise DataError(f"{dataset_path}: record {number} has no org_id")
-            if record.org_id in org_ids:
-                raise DataError(f"{dataset_path}: org_id {record.org_id!r} appears more than once")
-            org_ids.add(record.org_id)
         if shots > 0:
             # Every pool record must be a completed supervised one, not only those drawn.
             pool = features_mod.read_jsonl(exemplars_path, _exemplar_from_dict)
@@ -580,7 +565,7 @@ def eval_endpoint_cmd(ctx, dataset_path, shots, exemplars_path, eval_dir, **endp
             records = [dataclasses.replace(rec, messages=turns + rec.messages) for rec in records]
 
     eval_dir.mkdir(parents=True, exist_ok=True)
-    with _timed(ctx, "eval_s"):
+    with _naming(dataset_path), _timed(ctx, "eval_s"):
         result = client_mod.run_eval(endpoint, records, audit_path=eval_dir / "audit.jsonl")
     with _timed(ctx, "write_s"):
         summary = _eval_summary(result)

@@ -198,24 +198,25 @@ def run_eval(
     completes, so an exception or interrupt keeps every completed line.
     Audit lines are in completion order; ``score_audit_log`` joins on
     org_id, so a record without one, or with one another record holds,
-    raises ValueError before any request is sent. ``max_in_flight`` worker
-    threads take the records in turn. An unexpected error stops them, and the
-    first one is raised once the records in flight are done. Without an
-    injected ``transport``, each worker sends on one persistent connection
+    raises DataError before any request is sent, as do an empty dataset and
+    a record without a true 0/1 label. ``max_in_flight`` worker threads take
+    the records in turn. An unexpected error stops them, and the first one
+    is raised once the records in flight are done. Without an injected
+    ``transport``, each worker sends on one persistent connection
     (``_retry.Sender``), all closed when the run ends.
     """
     endpoint.validate()
     records = list(records)
     if not records:
-        raise ValueError("no records to evaluate")
+        raise DataError("dataset is empty")
     org_ids = set()
     for number, record in enumerate(records, 1):
         if record.label not in (0, 1):
-            raise ValueError("records must carry a true 0/1 label for scoring")
+            raise DataError(f"record {record.org_id!r} has no true 0/1 label")
         if record.org_id is None:
-            raise ValueError(f"record {number} has no org_id")
+            raise DataError(f"record {number} has no org_id")
         if str(record.org_id) in org_ids:
-            raise ValueError(f"org_id {record.org_id!r} appears more than once")
+            raise DataError(f"org_id {record.org_id!r} appears more than once")
         org_ids.add(str(record.org_id))
 
     results: list = [None] * len(records)

@@ -13,8 +13,12 @@ from __future__ import annotations
 import math
 import urllib.parse
 from dataclasses import dataclass, field, fields, replace
+from datetime import date
 
 from .ingest import parse_kv_file
+
+# Snapshot date the age feature is measured against; override per run.
+DEFAULT_REFERENCE_DATE = date(2025, 6, 11)
 
 # The prompt variants, from bare (V1) to most structured (V4); see prompts.
 VARIANTS = ("V1", "V2", "V3", "V4")
@@ -95,7 +99,7 @@ class EndpointConfig:
 class RunConfig:
     data_dir: str = "data"
     out_dir: str = "out"
-    reference_date: str = "2025-06-11"
+    reference_date: str = DEFAULT_REFERENCE_DATE.isoformat()
     variant: str = "V4"
     budget: int = 256
     seed: int = 0

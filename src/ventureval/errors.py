@@ -6,8 +6,9 @@ exit 4. Any other exception is a bug and exits 1 with a traceback.
 """
 
 
-class DataError(Exception):
-    """Input data violates a contract (malformed rows, empty classes, ...)."""
+class DataError(ValueError):
+    """Input data violates a contract (malformed rows, empty classes, ...).
+    A ValueError, so callers that catch ValueError still catch it."""
 
 
 class _RequestFailure(Exception):

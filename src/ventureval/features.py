@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from datetime import date
 from typing import NamedTuple, Optional
 
+from .config import DEFAULT_REFERENCE_DATE
 from .errors import DataError
 from .ingest import SURROGATE_RE, CompanyStore, undecodable, write_csv
-
-# Snapshot date the age feature is measured against; override per run.
-DEFAULT_REFERENCE_DATE = date(2025, 6, 11)
 
 AGE_SENTINEL = -1.0
 DAYS_PER_YEAR = 365.25

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .config import GbdtConfig
+from .errors import DataError
 
 MODEL_FORMAT_VERSION = 1
 
@@ -127,10 +128,11 @@ def _build_node(columns, g, h, rows, sorted_rows, depth, cfg, margin_out) -> Tre
 def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     """Train the additive tree ensemble.
 
-    Requires at least two samples, both classes present and fully finite
-    features. The base score is the log-odds of the training prior; each
-    round adds one tree fitted to the current gradients/hessians. The
-    per-round training log-loss is recorded on the returned model.
+    Requires at least two samples, both classes present (DataError
+    otherwise) and fully finite features. The base score is the log-odds of
+    the training prior; each round adds one tree fitted to the current
+    gradients/hessians. The per-round training log-loss is recorded on the
+    returned model.
     """
     config.validate()
     X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
@@ -139,7 +141,7 @@ def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
     if y.shape[0] != X.shape[0]:
         raise ValueError("X and y row counts differ")
-    if X.shape[0] < 2:
+    if X.shape[0] == 0:  # one sample is a single class, reported below
         raise ValueError("need at least 2 samples")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains NaN or infinite values")
@@ -147,7 +149,7 @@ def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
         raise ValueError("y must be binary 0/1")
     prior = float(y.mean())
     if prior in (0.0, 1.0):
-        raise ValueError("training labels contain a single class")
+        raise DataError("training labels contain a single class")
 
     base_score = math.log(prior / (1.0 - prior))
     margin = np.full(X.shape[0], base_score, dtype=np.float64)

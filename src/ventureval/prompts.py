@@ -256,8 +256,7 @@ def render_prompt(
     ``mode='sft'`` appends the assistant target turn. The true label rides
     along in both modes so downstream scoring never needs a side channel.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown prompt variant {variant!r}")
+    template = load_template(variant)
     if mode not in ("inference", "sft"):
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -265,7 +264,7 @@ def render_prompt(
     render = _render_block if variant in _BLOCK_VARIANTS else _render_inline
     profile_text = render(profile, description, leakage_guard)
     # Every template ends with its profile, so the description ends the text.
-    user_text = load_template(variant).format(profile=profile_text).rstrip("\n")
+    user_text = template.format(profile=profile_text).rstrip("\n")
     description_start = len(user_text) - len(description) if description else None
 
     messages = [ChatMessage("user", user_text)]

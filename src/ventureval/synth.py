@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest
-from .features import FEATURE_COLUMNS, write_jsonl
+from .config import DEFAULT_REFERENCE_DATE
+from .features import DAYS_PER_YEAR, FEATURE_COLUMNS, compute_age, write_jsonl
 
 NOISE_MODES = ("threshold", "logistic")
 
@@ -96,7 +97,7 @@ _FIELD_TYPES = {
 class SynthConfig:
     n_companies: int = 1000
     seed: int = 0
-    reference_date: str = "2025-06-11"
+    reference_date: str = DEFAULT_REFERENCE_DATE.isoformat()
     noise: str = "threshold"
     # Coefficients over standardized (age, raised, rounds, investors,
     # acquisitions_made, executives); index 4 must stay 0, see module doc.
@@ -247,10 +248,6 @@ def _round_amounts(rng, config, count: int):
     return [max(0.0, float(np.round(a))) for a in draws]
 
 
-def _realized_age_years(founded: date, reference: date) -> float:
-    return (reference - founded).days / 365.25
-
-
 def _blank(rows, column, rate, rng, empty=None):
     """Set ``column`` to ``empty`` in each row with probability ``rate``,
     one draw per row in order; no draws when the rate is unset or 0."""
@@ -285,7 +282,7 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
             f"{_NAME_SUFFIXES[int(rng.integers(len(_NAME_SUFFIXES)))]} {i}"
         )
         age_draw = float(rng.uniform(lo, hi))
-        founded = reference - timedelta(days=int(round(age_draw * 365.25)))
+        founded = reference - timedelta(days=int(round(age_draw * DAYS_PER_YEAR)))
         founded_dates.append(founded)
 
         n_rounds = int(rng.poisson(config.rounds_lambda))
@@ -351,7 +348,7 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
             )
         )
         features[i] = [
-            _realized_age_years(founded, reference),
+            compute_age(founded, reference),
             float(sum(amounts)),
             n_rounds,
             n_investors,
@@ -429,7 +426,7 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
 def _simulate_realized_features(config: SynthConfig, n: int, rng) -> np.ndarray:
     """Fresh draws from the same realized-feature process generate() uses."""
     lo, hi = config.age_range_years
-    age = np.round(rng.uniform(lo, hi, n) * 365.25) / 365.25
+    age = np.round(rng.uniform(lo, hi, n) * DAYS_PER_YEAR) / DAYS_PER_YEAR
     n_rounds = rng.poisson(config.rounds_lambda, n)
     total = n_rounds.sum()
     amounts = np.round(rng.lognormal(config.funding_mu, config.funding_sigma, int(total)))

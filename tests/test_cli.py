@@ -324,6 +324,16 @@ def test_single_class_training_split_exits_with_data_error(tmp_path):
     assert "training labels contain a single class" in result.output
 
 
+def test_one_row_training_split_is_a_single_class(tmp_path):
+    splits = tmp_path / "splits"
+    splits.mkdir()
+    for name in ("train", "test"):
+        write_profiles_jsonl([GOLDEN_PROFILE], splits / f"{name}.jsonl")
+    result = invoke("train-baseline", "--splits", str(splits), "--out", str(tmp_path / "baseline"))
+    assert result.exit_code == 3, result.output
+    assert f"{splits / 'train.jsonl'}: training labels contain a single class" in result.output
+
+
 def test_empty_training_split_exits_with_data_error(tmp_path):
     splits = tmp_path / "splits"
     splits.mkdir()
@@ -723,6 +733,7 @@ def test_eval_dataset_faults_exit_before_any_request(tmp_path, lines, reason):
     assert result.exit_code == 3, result.output
     assert f"{dataset}: {reason}" in result.output
     assert RecordingHandler.requests == []
+    assert not (tmp_path / "eval" / "audit.jsonl").exists()
 
 
 class RecordingHandler(BaseHTTPRequestHandler):
@@ -893,6 +904,27 @@ def test_bad_command_line_is_usage_error(tmp_path, args):
     assert result.exit_code == 2, result.output
 
 
+def test_eval_endpoint_without_a_base_url_is_usage_error(tmp_path):
+    result = invoke("eval-endpoint", "--dataset", str(tmp_path / "prompts.jsonl"))
+    assert result.exit_code == 2, result.output
+    assert "--base-url (or endpoint.base_url in the config) is required" in result.output
+
+
+def test_prompts_fewshot_k_writes_k_balanced_records(tmp_path):
+    profiles = tmp_path / "profiles.jsonl"
+    write_profiles_jsonl([GOLDEN_PROFILE._replace(org_id=f"org{i}", success=int(i < 3))
+                          for i in range(10)], profiles)
+    out = tmp_path / "prompts.jsonl"
+    args = ("prompts", "--profiles", str(profiles), "--out", str(out), "--mode", "inference")
+    run_ok(*args, "--fewshot-k", "5")
+    labels = [json.loads(line)["label"] for line in out.read_text().splitlines()]
+    assert sorted(labels) == [0, 0, 1, 1, 1]
+
+    result = invoke(*args, "--fewshot-k", "11")
+    assert result.exit_code == 3, result.output
+    assert f"{profiles}: k=11 exceeds corpus size 10" in result.output
+
+
 def test_value_error_inside_a_stage_is_not_a_usage_error(tmp_path, monkeypatch):
     """Only flags, the run or synth config and missing inputs are usage
     errors; a ValueError from library code is a bug and keeps its traceback."""
@@ -966,6 +998,14 @@ def test_unknown_config_key_is_usage_error(tmp_path):
         result = invoke("--config", str(config_path), "stats")
         assert result.exit_code == 2, key
         assert f"unknown config key {key!r}" in result.output, key
+
+
+def test_config_boolean_must_read_as_one(tmp_path):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("stratified = maybe\n", encoding="utf-8")
+    result = invoke("--config", str(config_path), "stats")
+    assert result.exit_code == 2, result.output
+    assert "bad config file: not a boolean: 'maybe'" in result.output
 
 
 def test_config_value_is_checked_like_its_flag(tmp_path):

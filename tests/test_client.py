@@ -22,7 +22,7 @@ from ventureval.client import (
     run_eval,
     score_audit_log,
 )
-from ventureval.errors import ProtocolError, TransportError
+from ventureval.errors import DataError, ProtocolError, TransportError
 from ventureval.prompts import ChatMessage, ChatRecord
 
 ENDPOINT = EndpointConfig(base_url="http://mock.local/v1", model="mock")
@@ -399,6 +399,23 @@ def test_run_eval_rejects_a_repeated_org_id(tmp_path):
     with pytest.raises(ValueError, match="'c1' appears more than once"):
         run_eval(ENDPOINT, records, transport=never_called, audit_path=tmp_path / "audit.jsonl")
     assert not (tmp_path / "audit.jsonl").exists()
+
+
+def test_a_data_error_is_a_value_error():
+    assert issubclass(DataError, ValueError)
+
+
+@pytest.mark.parametrize("records,message", [
+    ([], "dataset is empty"),
+    (make_records(2) + [ChatRecord(messages=[ChatMessage("user", "x")], org_id="c9")],
+     "record 'c9' has no true 0/1 label"),
+    (make_records(2) + [ChatRecord(messages=[ChatMessage("user", "x")], label=0)],
+     "record 3 has no org_id"),
+    (make_records(2) * 2, "org_id 'c0' appears more than once"),
+], ids=["empty", "unlabeled", "no-org-id", "repeated-org-id"])
+def test_run_eval_raises_a_data_error_before_any_request(records, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        run_eval(ENDPOINT, records, transport=never_called)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from ventureval.errors import DataError
 from ventureval.gbdt import GbdtConfig, fit, from_json, predict_many, predict_proba_many, to_json
 
 HAND_X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -81,6 +82,12 @@ def test_predict_is_thresholded_proba():
 def test_single_class_rejected():
     with pytest.raises(ValueError):
         fit(np.ones((4, 2)), np.ones(4))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_single_class_is_a_data_error(n):
+    with pytest.raises(DataError, match="^training labels contain a single class$"):
+        fit(np.ones((n, 2)), np.zeros(n))
 
 
 def test_nan_feature_rejected():

@@ -73,6 +73,10 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def server():
     srv = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    # server_close() would join every handler thread, and a handler waits in
+    # readline until the client closes: a leaked connection must fail its
+    # test, not hang the teardown.
+    srv.block_on_close = False
     srv.script = [(200, completion_body("Prediction: Successful"))]
     srv.seen = []
     srv.release = threading.Event()
@@ -285,6 +289,7 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def keepalive():
     srv = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
+    srv.block_on_close = False
     srv.lock = threading.Lock()
     srv.opened = srv.closed = 0
     srv.bodies = []
@@ -396,6 +401,7 @@ def proxy(monkeypatch):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
     srv = ThreadingHTTPServer(("127.0.0.1", 0), ProxyHandler)
+    srv.block_on_close = False
     srv.seen = []
     srv.netloc = f"127.0.0.1:{srv.server_address[1]}"
     thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
@@ -463,6 +469,7 @@ def raw(monkeypatch):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
     srv = socketserver.ThreadingTCPServer(("127.0.0.1", 0), RawHandler)
+    srv.block_on_close, srv.daemon_threads = False, True
     srv.requests, srv.connections, srv.close = [], 0, False
     srv.answer = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
     srv.netloc = f"127.0.0.1:{srv.server_address[1]}"
@@ -563,6 +570,8 @@ def head_line(size):
     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nok",
     b"HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\nok",
     b"SMTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+    # No answer on a new connection: not resent, so two connections in all.
+    pytest.param(b"", id="no-answer"),
 ])
 def test_a_malformed_answer_is_a_failed_attempt(raw, answer):
     raw.answer, raw.close = answer, True
