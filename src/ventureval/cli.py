@@ -37,7 +37,7 @@ import click
 from . import config as config_mod
 from . import ingest as ingest_mod
 from .config import VARIANTS, derive_seed
-from .errors import DataError, ProtocolError, TransportError
+from .errors import DataError, TransportError
 
 EXIT_DATA = 3
 EXIT_TRANSPORT = 4
@@ -79,7 +79,7 @@ def _stage(name):
                 _log(ctx, name, status="error", error=str(exc))
                 click.echo(f"data error: {exc}", err=True)
                 sys.exit(EXIT_DATA)
-            except (TransportError, ProtocolError) as exc:
+            except TransportError as exc:
                 _log(ctx, name, status="error", error=str(exc))
                 click.echo(f"transport error: {exc}", err=True)
                 sys.exit(EXIT_TRANSPORT)
@@ -138,37 +138,6 @@ def _from_config(pick):
 def _in_out_dir(*parts):
     """An option default under the run config's ``out_dir``."""
     return _from_config(lambda c: Path(c.out_dir, *parts))
-
-
-def _eval_summary(result) -> dict:
-    """The scoring keys shared by eval-endpoint's and score's reports, from
-    a ``client.EvalResult``.
-
-    ``latency_ms`` holds p50/p95/p99 of per-record latency (inclusive-method
-    quantiles); ``parse_status`` counts records by parse status.
-    """
-    import statistics
-
-    from . import client as client_mod
-
-    latencies = [o.latency_ms for o in result.outcomes]
-    if len(latencies) == 1:
-        cuts = latencies * 99
-    else:
-        cuts = statistics.quantiles(latencies, n=100, method="inclusive")
-    statuses = [o.response.parse_status for o in result.outcomes]
-    return {
-        "report": dataclasses.asdict(result.report),
-        "parse_failures": result.parse_failures,
-        "transport_failures": result.transport_failures,
-        "n_records": len(result.outcomes),
-        "attempts": sum(o.attempts for o in result.outcomes),
-        "latency_ms": {f"p{q}": round(cuts[q - 1], 3) for q in (50, 95, 99)},
-        "parse_status": {
-            status: statuses.count(status)
-            for status in (client_mod.PARSED, client_mod.FALLBACK_PARSED, client_mod.UNPARSEABLE)
-        },
-    }
 
 
 def _require_file(path: Path, hint: str) -> Path:
@@ -568,7 +537,7 @@ def eval_endpoint_cmd(ctx, dataset_path, shots, exemplars_path, eval_dir, **endp
     with _naming(dataset_path), _timed(ctx, "eval_s"):
         result = client_mod.run_eval(endpoint, records, audit_path=eval_dir / "audit.jsonl")
     with _timed(ctx, "write_s"):
-        summary = _eval_summary(result)
+        summary = result.summary()
         _write_json(
             eval_dir / "report.json",
             {**summary, "model": endpoint.model, "base_url": endpoint.base_url, "shots": shots},
@@ -616,12 +585,11 @@ def score_cmd(ctx, audit_path, dataset_path, out_path):
 
     _require_file(audit_path, "run `ventureval eval-endpoint` first")
     _require_file(dataset_path, "the dataset supplies true labels")
-    labels_by_org = {}
-    for record in prompts_mod.read_records_jsonl(dataset_path):
-        if record.org_id is not None and record.label is not None:
-            labels_by_org[record.org_id] = record.label
+    records = prompts_mod.read_records_jsonl(dataset_path)
+    with _naming(dataset_path):
+        labels_by_org = client_mod.dataset_labels(records)
     result = client_mod.score_audit_log(audit_path, labels_by_org)
-    _write_json(out_path, _eval_summary(result))
+    _write_json(out_path, result.summary())
     click.echo(result.report.format_table())
     return {
         "records": len(result.outcomes),

@@ -15,14 +15,14 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import metrics
 from ._retry import Sender, post_json, run_with_retries
 from .config import EndpointConfig
-from .errors import DataError, ProtocolError, TransportError
-from .features import _FLOAT_MAX, _jsonl_lines, encode_json
+from .errors import DataError, TransportError
+from .features import _FLOAT_MAX, encode_json, read_jsonl
 from .prompts import message_dicts
 
 PARSED = "parsed"
@@ -67,7 +67,7 @@ class CompletionResult:
     latency_ms: float
 
 
-# What a transport or protocol failure scores as: no label, never a guess.
+# What a failed request scores as: no label, never a guess.
 _NO_COMPLETION = ParsedResponse(label=None, justification=None, parse_status=UNPARSEABLE)
 
 
@@ -93,6 +93,32 @@ class EvalResult:
     transport_failures: int = 0
     connections: int = 0  # opened by the run's own sender; 0 for an injected transport
 
+    def summary(self) -> dict:
+        """The keys ``eval-endpoint``'s and ``score``'s reports share.
+
+        ``latency_ms`` holds p50/p95/p99 of per-record latency (inclusive-method
+        quantiles); ``parse_status`` counts records by parse status.
+        """
+        import statistics
+
+        latencies = [o.latency_ms for o in self.outcomes]
+        if len(latencies) == 1:
+            cuts = latencies * 99
+        else:
+            cuts = statistics.quantiles(latencies, n=100, method="inclusive")
+        statuses = [o.response.parse_status for o in self.outcomes]
+        return {
+            "report": asdict(self.report),
+            "parse_failures": self.parse_failures,
+            "transport_failures": self.transport_failures,
+            "n_records": len(self.outcomes),
+            "attempts": sum(o.attempts for o in self.outcomes),
+            "latency_ms": {f"p{q}": round(cuts[q - 1], 3) for q in (50, 95, 99)},
+            "parse_status": {
+                status: statuses.count(status) for status in (PARSED, FALLBACK_PARSED, UNPARSEABLE)
+            },
+        }
+
 
 def chat_complete(
     endpoint: EndpointConfig,
@@ -106,7 +132,7 @@ def chat_complete(
     Retries timeouts, connection failures, 429 and 5xx with exponential
     backoff (base 1 s, factor 2, full jitter) up to ``max_retries`` extra
     attempts; other 4xx fail immediately. A well-formed transport answer
-    that is not the expected JSON shape raises ProtocolError.
+    that is not the expected JSON shape raises TransportError too.
     """
     endpoint.validate()
     if not messages:
@@ -135,9 +161,9 @@ def chat_complete(
         obj = json.loads(body)
         content = obj["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise ProtocolError(f"malformed chat-completion response: {exc}", attempts=attempt_log)
+        raise TransportError(f"malformed chat-completion response: {exc}", attempts=attempt_log)
     if not isinstance(content, str):
-        raise ProtocolError("completion content is not a string", attempts=attempt_log)
+        raise TransportError("completion content is not a string", attempts=attempt_log)
     return CompletionResult(text=content, attempts=len(attempt_log), latency_ms=latency_ms)
 
 
@@ -179,6 +205,25 @@ def _score(outcomes: list, connections: int = 0) -> EvalResult:
     )
 
 
+def dataset_labels(records) -> dict:
+    """``org_id -> true 0/1 label`` of an eval dataset. The audit joins on
+    org_id, so an empty dataset, a record without a true 0/1 label, and a
+    missing or repeated org_id raise DataError."""
+    labels = {}
+    for number, record in enumerate(records, 1):
+        if record.label not in (0, 1):
+            raise DataError(f"record {record.org_id!r} has no true 0/1 label")
+        if record.org_id is None:
+            raise DataError(f"record {number} has no org_id")
+        org_id = str(record.org_id)
+        if org_id in labels:
+            raise DataError(f"org_id {record.org_id!r} appears more than once")
+        labels[org_id] = int(record.label)
+    if not labels:
+        raise DataError("dataset is empty")
+    return labels
+
+
 def run_eval(
     endpoint: EndpointConfig,
     records,
@@ -196,28 +241,16 @@ def run_eval(
     each record's JSONL line (request, raw completion or ``transport_error``,
     parse, latency, attempts) is appended and flushed as the record
     completes, so an exception or interrupt keeps every completed line.
-    Audit lines are in completion order; ``score_audit_log`` joins on
-    org_id, so a record without one, or with one another record holds,
-    raises DataError before any request is sent, as do an empty dataset and
-    a record without a true 0/1 label. ``max_in_flight`` worker threads take
-    the records in turn. An unexpected error stops them, and the first one
-    is raised once the records in flight are done. Without an injected
+    Audit lines are in completion order. The records pass ``dataset_labels``
+    before any request is sent. ``max_in_flight`` worker threads take the
+    records in turn. An unexpected error stops them, and the first one is
+    raised once the records in flight are done. Without an injected
     ``transport``, each worker sends on one persistent connection
     (``_retry.Sender``), all closed when the run ends.
     """
     endpoint.validate()
     records = list(records)
-    if not records:
-        raise DataError("dataset is empty")
-    org_ids = set()
-    for number, record in enumerate(records, 1):
-        if record.label not in (0, 1):
-            raise DataError(f"record {record.org_id!r} has no true 0/1 label")
-        if record.org_id is None:
-            raise DataError(f"record {number} has no org_id")
-        if str(record.org_id) in org_ids:
-            raise DataError(f"org_id {record.org_id!r} appears more than once")
-        org_ids.add(str(record.org_id))
+    dataset_labels(records)
 
     results: list = [None] * len(records)
     audit_lock = threading.Lock()
@@ -235,7 +268,7 @@ def run_eval(
             parsed = parse_response(raw)
             attempts = completion.attempts
             latency_ms = completion.latency_ms
-        except (TransportError, ProtocolError) as exc:
+        except TransportError as exc:
             parsed, raw, error = _NO_COMPLETION, None, str(exc)
             attempts = len(exc.attempts) or 1
             latency_ms = (time.monotonic() - started) * 1000.0
@@ -304,45 +337,44 @@ def run_eval(
 def score_audit_log(audit_path, labels_by_org) -> EvalResult:
     """Re-score a persisted audit log offline.
 
-    ``labels_by_org`` maps org_id -> true 0/1 label (e.g. from the dataset
-    JSONL the run was built from). Raw completions are re-parsed, so parser
-    improvements apply retroactively; a line's ``transport_error`` is taken
-    as is. A malformed or empty audit, or an org_id without a label, raises
-    DataError naming the file and line.
+    ``labels_by_org`` maps org_id -> true 0/1 label (``dataset_labels``).
+    Raw completions are re-parsed, so parser improvements apply
+    retroactively; a line's ``transport_error`` is taken as is. A malformed
+    or empty audit, or an org_id without a label or seen on an earlier line,
+    raises DataError naming the file and line (``features.read_jsonl``).
     """
-    outcomes = []
-    for lineno, line in _jsonl_lines(audit_path):
-        where = f"{audit_path}:{lineno}"
-        try:
-            entry = json.loads(line)
-            org_id = entry["org_id"]
-        except (ValueError, TypeError, KeyError):
-            raise DataError(f"{where}: not a JSON audit object with an org_id")
+    seen = set()
+
+    def outcome(entry: dict) -> EvalOutcome:
+        org_id = entry["org_id"]
         if type(org_id) is not str:
-            raise DataError(f"{where}: org_id is not a string: {org_id!r}")
+            raise ValueError(f"org_id is not a string: {org_id!r}")
         if org_id not in labels_by_org:
-            raise DataError(f"{where}: no label for org_id {org_id!r} in the dataset")
+            raise ValueError(f"no label for org_id {org_id!r} in the dataset")
+        if org_id in seen:
+            raise ValueError(f"org_id {org_id!r} appears more than once")
+        seen.add(org_id)
         error, raw = entry.get("transport_error"), entry.get("raw")
         latency_ms, attempts = entry.get("latency_ms", 0.0), entry.get("attempts", 0)
         # type(), not isinstance: a JSON true is not a count.
         if error is None and type(raw) is not str:
-            raise DataError(f"{where}: no transport_error, and raw is not a string: {raw!r}")
+            raise ValueError(f"no transport_error, and raw is not a string: {raw!r}")
         if error is not None and type(error) is not str:
-            raise DataError(f"{where}: transport_error is not a string: {error!r}")
+            raise ValueError(f"transport_error is not a string: {error!r}")
         if type(latency_ms) not in (int, float) or not abs(latency_ms) <= _FLOAT_MAX:
-            raise DataError(f"{where}: latency_ms is not a finite number: {latency_ms!r}")
+            raise ValueError(f"latency_ms is not a finite number: {latency_ms!r}")
         if type(attempts) is not int or attempts < 0:
-            raise DataError(f"{where}: attempts is not a count: {attempts!r}")
-        outcomes.append(
-            EvalOutcome(
-                org_id=org_id,
-                true_label=int(labels_by_org[org_id]),
-                response=_NO_COMPLETION if error is not None else parse_response(raw),
-                latency_ms=float(latency_ms),
-                attempts=attempts,
-                transport_error=error,
-            )
+            raise ValueError(f"attempts is not a count: {attempts!r}")
+        return EvalOutcome(
+            org_id=org_id,
+            true_label=int(labels_by_org[org_id]),
+            response=_NO_COMPLETION if error is not None else parse_response(raw),
+            latency_ms=float(latency_ms),
+            attempts=attempts,
+            transport_error=error,
         )
+
+    outcomes = read_jsonl(audit_path, outcome)
     if not outcomes:
         raise DataError(f"audit log {audit_path} is empty")
     return _score(outcomes)

@@ -142,7 +142,7 @@ def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     if y.shape[0] != X.shape[0]:
         raise ValueError("X and y row counts differ")
     if X.shape[0] == 0:  # one sample is a single class, reported below
-        raise ValueError("need at least 2 samples")
+        raise ValueError("no training rows")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains NaN or infinite values")
     if not np.isin(y, (0.0, 1.0)).all():

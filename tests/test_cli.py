@@ -542,17 +542,14 @@ def test_score_reproduces_eval_report(tmp_path, contents, exit_code):
         ('{"org_id": "org7", "raw": "Prediction: Successful"}\n', "audit.jsonl:1: no label"),
         ("", "is empty"),
         ("\n\n", "is empty"),
-        ('{"org_id": "org0", "raw": "x"}\n["org0"]\n', "audit.jsonl:2: not a JSON audit object"),
-        ("Prediction: Successful\n", "audit.jsonl:1: not a JSON audit object"),
-        ('{"raw": "Prediction: Successful"}\n', "audit.jsonl:1: not a JSON audit object"),
+        ('{"org_id": "org0", "raw": "x"}\n{"org_id": "org0", "raw": "x"}\n',
+         "audit.jsonl:2: org_id 'org0' appears more than once"),
         ('{"org_id": "org0", "raw": "x", "latency_ms": "slow"}\n',
          "audit.jsonl:1: latency_ms is not a finite number: 'slow'"),
         ('{"org_id": "org0", "raw": "x", "latency_ms": NaN}\n',
          "audit.jsonl:1: latency_ms is not a finite number: nan"),
         ('{"org_id": "org0", "raw": "x", "latency_ms": 1' + "0" * 400 + '}\n',
          "audit.jsonl:1: latency_ms is not a finite number: 1" + "0" * 400),
-        ('{"org_id": "org0", "raw": "x", "attempts": 1' + "0" * 5000 + '}\n',
-         "audit.jsonl:1: not a JSON audit object"),
         ('{"org_id": "org0", "raw": "x", "attempts": "2"}\n', "audit.jsonl:1: attempts is not a count: '2'"),
         ('{"org_id": "org0", "raw": "x", "attempts": true}\n', "audit.jsonl:1: attempts is not a count: True"),
         ('{"org_id": "org0"}\n', "audit.jsonl:1: no transport_error, and raw is not a string: None"),
@@ -576,6 +573,7 @@ def test_score_data_faults_exit_with_data_error(tmp_path, audit, message):
 
 PROFILE_LINE = GOLDEN_PROFILE._asdict()
 RECORD_LINE = {"messages": [{"role": "user", "content": "company a"}], "label": 1, "org_id": "org0"}
+AUDIT_LINE = {"org_id": "org0", "raw": "Prediction: Successful"}
 
 
 def profile_stage_args(stage, bad, tmp_path):
@@ -586,6 +584,13 @@ def profile_stage_args(stage, bad, tmp_path):
         return ["train-baseline", "--splits", str(bad.parent), "--out", str(tmp_path / "model")]
     out = {"stats": "--out", "split": "--out-dir", "prompts": "--out"}[stage]
     return [stage, "--profiles", str(bad), out, str(tmp_path / "result")]
+
+
+def audit_stage_args(stage, bad, tmp_path):
+    """Arguments that make ``score`` read ``bad`` as its audit."""
+    dataset = tmp_path / "prompts.jsonl"
+    write_eval_dataset(dataset, ["company a", "company b"])
+    return ["score", "--audit", str(bad), "--dataset", str(dataset), "--out", str(tmp_path / "r.json")]
 
 
 def record_stage_args(stage, bad, tmp_path):
@@ -602,7 +607,8 @@ def record_stage_args(stage, bad, tmp_path):
     "stage,good,build_args,missing",
     [(stage, PROFILE_LINE, profile_stage_args, "success")
      for stage in ("stats", "split", "prompts", "train-baseline")]
-    + [(stage, RECORD_LINE, record_stage_args, "messages") for stage in ("eval-endpoint", "score")],
+    + [(stage, RECORD_LINE, record_stage_args, "messages") for stage in ("eval-endpoint", "score")]
+    + [("score", AUDIT_LINE, audit_stage_args, "org_id")],
 )
 @pytest.mark.parametrize("fault", ["missing key", "not JSON", "too many digits", "not an object", "not UTF-8"])
 def test_malformed_jsonl_input_exits_with_data_error(tmp_path, stage, good, build_args, missing, fault):
@@ -708,32 +714,47 @@ def test_empty_test_split_exits_with_data_error(tmp_path):
     assert f"{splits / 'test.jsonl'}: test split is empty" in result.output
 
 
-@pytest.mark.parametrize("lines,reason", [
-    ([], "dataset is empty"),
-    (["\n"], "dataset is empty"),
-    ([json.dumps(RECORD_LINE), json.dumps({**RECORD_LINE, "org_id": "org1", "label": None})],
+DATASET_FAULTS = [
+    ("empty", [], "dataset is empty"),
+    ("blank", ["\n"], "dataset is empty"),
+    ("unlabeled", [json.dumps(RECORD_LINE), json.dumps({**RECORD_LINE, "org_id": "org1", "label": None})],
      "record 'org1' has no true 0/1 label"),
-    ([json.dumps(RECORD_LINE), json.dumps(RECORD_LINE)], "org_id 'org0' appears more than once"),
-    ([json.dumps(RECORD_LINE), json.dumps({k: v for k, v in RECORD_LINE.items() if k != "org_id"})],
+    ("repeated-org-id", [json.dumps(RECORD_LINE), json.dumps(RECORD_LINE)],
+     "org_id 'org0' appears more than once"),
+    ("no-org-id",
+     [json.dumps(RECORD_LINE), json.dumps({k: v for k, v in RECORD_LINE.items() if k != "org_id"})],
      "record 2 has no org_id"),
-], ids=["empty", "blank", "unlabeled", "repeated-org-id", "no-org-id"])
-def test_eval_dataset_faults_exit_before_any_request(tmp_path, lines, reason):
+]
+
+
+@pytest.mark.parametrize("stage,lines,reason", [
+    pytest.param(stage, lines, reason, id=case if stage == "eval-endpoint" else f"{stage}-{case}")
+    for stage in ("eval-endpoint", "score") for case, lines, reason in DATASET_FAULTS
+])
+def test_eval_dataset_faults_exit_before_any_request(tmp_path, stage, lines, reason):
+    # score runs the same dataset check as eval-endpoint, before it reads the audit.
     dataset = tmp_path / "prompts.jsonl"
     dataset.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    eval_dir = tmp_path / "eval"
     server = ThreadingHTTPServer(("127.0.0.1", 0), RecordingHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     RecordingHandler.requests = []
+    if stage == "score":
+        eval_dir.mkdir()
+        (eval_dir / "audit.jsonl").write_text(json.dumps(AUDIT_LINE) + "\n", encoding="utf-8")
+        args = ["--audit", str(eval_dir / "audit.jsonl"), "--out", str(eval_dir / "rescore_report.json")]
+    else:
+        args = ["--base-url", f"http://127.0.0.1:{server.server_address[1]}", "--out", str(eval_dir)]
     try:
-        result = invoke("eval-endpoint", "--dataset", str(dataset),
-                        "--base-url", f"http://127.0.0.1:{server.server_address[1]}",
-                        "--out", str(tmp_path / "eval"))
+        result = invoke(stage, "--dataset", str(dataset), *args)
     finally:
         server.shutdown()
         server.server_close()
     assert result.exit_code == 3, result.output
     assert f"{dataset}: {reason}" in result.output
     assert RecordingHandler.requests == []
-    assert not (tmp_path / "eval" / "audit.jsonl").exists()
+    # No output: eval-endpoint opened no audit, score wrote no report.
+    assert [p.name for p in eval_dir.glob("*")] == (["audit.jsonl"] if stage == "score" else [])
 
 
 class RecordingHandler(BaseHTTPRequestHandler):

@@ -22,7 +22,7 @@ from ventureval.client import (
     run_eval,
     score_audit_log,
 )
-from ventureval.errors import DataError, ProtocolError, TransportError
+from ventureval.errors import DataError, TransportError
 from ventureval.prompts import ChatMessage, ChatRecord
 
 ENDPOINT = EndpointConfig(base_url="http://mock.local/v1", model="mock")
@@ -216,8 +216,8 @@ def test_chat_complete_non_retryable_4xx():
     assert calls["n"] == 1
 
 
-def test_chat_complete_malformed_json_is_protocol_error():
-    with pytest.raises(ProtocolError):
+def test_chat_complete_malformed_json_is_transport_error():
+    with pytest.raises(TransportError, match="^malformed chat-completion response: "):
         chat_complete(
             ENDPOINT,
             [{"role": "user", "content": "hi"}],
@@ -522,9 +522,7 @@ def test_score_audit_log_reproduces_live_result(answers, max_in_flight):
     assert [o.attempts for o in live.outcomes] == [
         2 if kind.startswith("flaky") else 1 for kind, _, _ in answers
     ]
-    assert rescored.report == live.report
-    assert rescored.parse_failures == live.parse_failures
-    assert rescored.transport_failures == live.transport_failures
+    assert rescored.summary() == live.summary()
     assert per_org(rescored) == per_org(live)
     assert {o.org_id: o.latency_ms for o in rescored.outcomes} == {
         o.org_id: o.latency_ms for o in live.outcomes
@@ -576,6 +574,15 @@ def test_score_reads_audit_without_transport_error_as_before(tmp_path):
     ]
     assert result.parse_failures == 1
     assert result.transport_failures == 0
+
+
+def test_score_audit_log_rejects_a_repeated_org_id(tmp_path):
+    # Two lines for one record would score it twice.
+    audit_path = tmp_path / "audit.jsonl"
+    line = json.dumps({"org_id": "c0", "raw": "Prediction: Successful"}) + "\n"
+    audit_path.write_text(line + json.dumps({"org_id": "c1", "raw": "no idea"}) + "\n" + line)
+    with pytest.raises(DataError, match=":3: org_id 'c0' appears more than once$"):
+        score_audit_log(audit_path, {"c0": 1, "c1": 0})
 
 
 @pytest.mark.parametrize("crash_at", [1, 4, 7])

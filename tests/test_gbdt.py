@@ -84,6 +84,11 @@ def test_single_class_rejected():
         fit(np.ones((4, 2)), np.ones(4))
 
 
+def test_no_training_rows_rejected():
+    with pytest.raises(ValueError, match="^no training rows$"):
+        fit(np.ones((0, 2)), np.ones(0))
+
+
 @pytest.mark.parametrize("n", [1, 4])
 def test_single_class_is_a_data_error(n):
     with pytest.raises(DataError, match="^training labels contain a single class$"):
