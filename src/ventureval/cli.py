@@ -147,8 +147,7 @@ def _require_file(path: Path, hint: str) -> Path:
 
 
 def _write_json(path, payload) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with ingest_mod.output_file(path) as fh:
         json.dump(payload, fh, indent=2, ensure_ascii=False)
         fh.write("\n")
 
@@ -227,10 +226,8 @@ def ingest_cmd(ctx, data_dir, mapping_path, strict, out_dir):
         store, row_errors = ingest_mod.load_directory(data_dir, mapping=mapping, strict=strict)
     n_errors = sum(len(v) for v in row_errors.values())
     with _timed(ctx, "write_s"):
-        ingested_dir = out_dir / "ingested"
-        ingested_dir.mkdir(parents=True, exist_ok=True)
         for kind in ingest_mod.TABLE_KINDS:
-            ingest_mod.write_table(getattr(store, kind), ingested_dir / f"{kind}.csv", kind)
+            ingest_mod.write_table(getattr(store, kind), out_dir / "ingested" / f"{kind}.csv", kind)
         _write_json(
             out_dir / "ingest_summary.json",
             {
@@ -277,7 +274,6 @@ def features_cmd(ctx, ingested_dir, reference_date, out_dir):
         profiles, anomalies = features_mod.derive_profiles(store, reference)
     n_positive = sum(p.success for p in profiles)
     with _timed(ctx, "write_s"):
-        out_dir.mkdir(parents=True, exist_ok=True)
         features_mod.write_profiles_csv(profiles, out_dir / "profiles.csv")
         features_mod.write_profiles_jsonl(profiles, out_dir / "profiles.jsonl")
         _write_json(
@@ -333,7 +329,6 @@ def split_cmd(ctx, profiles_path, splits_dir, ratios, seed, stratified):
     with _naming(profiles_path), _timed(ctx, "split_s"):
         train, val, test = features_mod.split_dataset(profiles, spec)
     with _timed(ctx, "write_s"):
-        splits_dir.mkdir(parents=True, exist_ok=True)
         counts = {}
         for name, part in (("train", train), ("val", val), ("test", test)):
             features_mod.write_profiles_jsonl(part, splits_dir / f"{name}.jsonl")
@@ -407,7 +402,6 @@ def prompts_cmd(ctx, profiles_path, out_path, variant, mode, budget, balance,
         if fewshot_k is not None:
             records = prompts_mod.sample_fewshot(records, fewshot_k, fewshot_seed)
     with _timed(ctx, "write_s"):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         count = prompts_mod.emit_jsonl(records, out_path)
         if manifest_path or mode == "sft":
             manifest_path = manifest_path or out_path.parent / "training_manifest.json"
@@ -452,7 +446,6 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, threshold, **baseline):
         model = gbdt_mod.fit(
             features_mod.feature_matrix(train), features_mod.label_vector(train), model_config
         )
-    model_dir.mkdir(parents=True, exist_ok=True)
     gbdt_mod.save_model(model, model_dir / "model.json")
 
     preds = gbdt_mod.predict_many(
@@ -594,6 +587,7 @@ def score_cmd(ctx, audit_path, dataset_path, out_path):
     return {
         "records": len(result.outcomes),
         "accuracy": round(result.report.accuracy, 4),
+        "missing": result.missing,
     }
 
 

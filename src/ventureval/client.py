@@ -92,12 +92,14 @@ class EvalResult:
     parse_failures: int
     transport_failures: int = 0
     connections: int = 0  # opened by the run's own sender; 0 for an injected transport
+    missing: int = 0  # dataset records with no audit line; 0 for a live run
 
     def summary(self) -> dict:
         """The keys ``eval-endpoint``'s and ``score``'s reports share.
 
         ``latency_ms`` holds p50/p95/p99 of per-record latency (inclusive-method
-        quantiles); ``parse_status`` counts records by parse status.
+        quantiles); ``parse_status`` counts records by parse status; ``missing``
+        counts the dataset records that were not scored.
         """
         import statistics
 
@@ -112,6 +114,7 @@ class EvalResult:
             "parse_failures": self.parse_failures,
             "transport_failures": self.transport_failures,
             "n_records": len(self.outcomes),
+            "missing": self.missing,
             "attempts": sum(o.attempts for o in self.outcomes),
             "latency_ms": {f"p{q}": round(cuts[q - 1], 3) for q in (50, 95, 99)},
             "parse_status": {
@@ -342,6 +345,8 @@ def score_audit_log(audit_path, labels_by_org) -> EvalResult:
     retroactively; a line's ``transport_error`` is taken as is. A malformed
     or empty audit, or an org_id without a label or seen on an earlier line,
     raises DataError naming the file and line (``features.read_jsonl``).
+    A partial audit scores the lines it has; ``missing`` counts the dataset
+    records it lacks.
     """
     seen = set()
 
@@ -377,4 +382,7 @@ def score_audit_log(audit_path, labels_by_org) -> EvalResult:
     outcomes = read_jsonl(audit_path, outcome)
     if not outcomes:
         raise DataError(f"audit log {audit_path} is empty")
-    return _score(outcomes)
+    result = _score(outcomes)
+    # Exact: every org_id above is in the dataset and seen once.
+    result.missing = len(labels_by_org) - len(outcomes)
+    return result

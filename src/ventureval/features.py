@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from .config import DEFAULT_REFERENCE_DATE
 from .errors import DataError
-from .ingest import SURROGATE_RE, CompanyStore, undecodable, write_csv
+from .ingest import SURROGATE_RE, CompanyStore, output_file, undecodable, write_csv
 
 AGE_SENTINEL = -1.0
 DAYS_PER_YEAR = 365.25
@@ -339,7 +339,7 @@ encode_json = json.JSONEncoder(ensure_ascii=False).encode
 def write_jsonl(objs, path) -> int:
     """Write each object of ``objs`` as one JSON line; returns the count."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         for obj in objs:
             fh.write(encode_json(obj) + "\n")
             count += 1

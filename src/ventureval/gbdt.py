@@ -26,6 +26,7 @@ import numpy as np
 from . import _kernels
 from .config import GbdtConfig
 from .errors import DataError
+from .ingest import output_file
 
 MODEL_FORMAT_VERSION = 1
 
@@ -260,6 +261,6 @@ def from_json(text: str) -> GbdtModel:
 
 
 def save_model(model: GbdtModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write(to_json(model))
 

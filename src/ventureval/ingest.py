@@ -14,8 +14,10 @@ line in the mapping file.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -309,9 +311,34 @@ def write_table(rows, path, kind, mapping=None) -> None:
     write_csv(path, _physical_columns(mapping or identity_mapping(), kind), rows)
 
 
+@contextlib.contextmanager
+def output_file(path, newline=None):
+    """Open ``path`` for writing as UTF-8 text, making its directory first.
+
+    Writes go to a temporary file that replaces ``path`` only when the block
+    ends without an exception. A path that exists and is not a regular file
+    (a FIFO, ``/dev/stdout``, a symlink) is written in place."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    # Not mkstemp, whose files are 0600. A file of this name is stale: its writer had our pid.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.unlink(missing_ok=True)
+    try:
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header, rows) -> None:
     """Write ``header``, then each row of ``rows``, as one CSV file."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with output_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

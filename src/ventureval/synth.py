@@ -265,7 +265,6 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
     """
     config.validate()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
     reference = date.fromisoformat(config.reference_date)
     lo, hi = config.age_range_years

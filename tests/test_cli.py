@@ -487,7 +487,7 @@ def test_eval_report_carries_latency_and_attempts(tmp_path):
 
 
 SHARED_REPORT_KEYS = {"report", "parse_failures", "transport_failures", "n_records",
-                      "attempts", "latency_ms", "parse_status"}
+                      "missing", "attempts", "latency_ms", "parse_status"}
 
 
 def assert_rescore_matches(report_path, rescore_path):
@@ -534,6 +534,17 @@ def test_score_reproduces_eval_report(tmp_path, contents, exit_code):
     if exit_code == 4:  # every request was answered 400 with a label word in its body
         assert report["report"]["accuracy"] == 0.0
         assert report["parse_failures"] == len(contents)
+    assert report["missing"] == 0
+    # A partial audit is scored as far as it goes, and its log line and
+    # report count the records it lacks.
+    partial = tmp_path / "partial.jsonl"
+    partial.write_text((eval_dir / "audit.jsonl").read_text().splitlines(keepends=True)[0])
+    log = tmp_path / "score.log"
+    run_ok("--log-file", str(log), "score", "--audit", str(partial), "--dataset", str(dataset),
+           "--out", str(tmp_path / "partial_report.json"))
+    (line,) = [json.loads(x) for x in log.read_text().splitlines()]
+    assert (line["records"], line["missing"]) == (1, len(contents) - 1)
+    assert json.loads((tmp_path / "partial_report.json").read_text())["missing"] == len(contents) - 1
 
 
 @pytest.mark.parametrize(
@@ -689,17 +700,6 @@ def test_mistyped_record_field_exits_with_data_error(tmp_path, stage, field, val
     result = invoke(*record_stage_args(stage, bad, tmp_path))
     assert result.exit_code == 3, result.output
     assert f"{bad}:2: {reason}" in result.output
-
-
-def test_score_non_utf8_audit_exits_with_data_error(tmp_path):
-    dataset = tmp_path / "prompts.jsonl"
-    write_eval_dataset(dataset, ["company a"])
-    audit = tmp_path / "audit.jsonl"
-    audit.write_bytes(b'{"org_id": "org0", "raw": "x"}\n{"org_id": "org0", "raw": "\xc3\xa9\xff"}\n')
-    result = invoke("score", "--audit", str(audit), "--dataset", str(dataset),
-                    "--out", str(tmp_path / "rescore.json"))
-    assert result.exit_code == 3, result.output
-    assert f"{audit}:2: not UTF-8: byte 0xff" in result.output
 
 
 def test_empty_test_split_exits_with_data_error(tmp_path):

@@ -529,6 +529,35 @@ def test_score_audit_log_reproduces_live_result(answers, max_in_flight):
     }
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    answers=st.lists(
+        st.tuples(st.sampled_from(ANSWER_KINDS), st.sampled_from(["Successful", "Unsuccessful"])),
+        min_size=1,
+        max_size=12,
+    ),
+    data=st.data(),
+)
+def test_missing_counts_the_lines_cut_off_an_audit(answers, data):
+    labels = {f"c{i}": i % 2 for i in range(len(answers))}
+    with tempfile.TemporaryDirectory() as tmp:
+        audit_path = Path(tmp) / "audit.jsonl"
+        live = run_eval(ENDPOINT, make_records(len(answers)), transport=scripted_transport(answers),
+                        audit_path=audit_path, sleep=lambda s: None)
+        lines = audit_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = data.draw(st.integers(0, len(lines)))
+        audit_path.write_text("".join(lines[:kept]), encoding="utf-8")
+        if kept == 0:
+            with pytest.raises(DataError, match="is empty"):
+                score_audit_log(audit_path, labels)
+            return
+        rescored = score_audit_log(audit_path, labels)
+    assert live.missing == 0
+    assert rescored.missing == len(lines) - kept
+    assert rescored.summary()["missing"] == rescored.missing
+    assert len(rescored.outcomes) == kept
+
+
 def test_audit_line_schema(tmp_path):
     answers = [("primary", "Successful"), ("4xx", "Successful"), ("malformed", ""),
                ("flaky-malformed", "")]

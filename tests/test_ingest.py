@@ -1,7 +1,13 @@
 """Table loading, validation, round-trips and store integrity."""
 
+import os
 import random
+import signal
+import stat
+import subprocess
+import sys
 import tempfile
+import threading
 from datetime import date
 from pathlib import Path
 
@@ -9,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ventureval import cli
 from ventureval.errors import DataError
+from ventureval.features import write_jsonl
 from ventureval.ingest import (
     ROW_TYPES,
     SCHEMA,
@@ -22,8 +30,10 @@ from ventureval.ingest import (
     identity_mapping,
     load_mapping_file,
     load_table,
+    output_file,
     parse_iso_date,
     parse_kv_text,
+    write_csv,
     write_table,
 )
 
@@ -323,3 +333,141 @@ def test_kv_text_without_equals_names_source_and_line():
     assert parse_kv_text("# note\n a = 1 \n\nb=x=y\n", "cfg") == {"a": "1", "b": "x=y"}
     with pytest.raises(DataError, match=r"^cfg:2: expected 'key = value'"):
         parse_kv_text("a = 1\nbroken\n", "cfg")
+
+
+# ------------------------------------------------------------ output files
+
+
+class Boom(Exception):
+    pass
+
+
+def rows_raising_at(n, at):
+    for i in range(n):
+        if i == at:
+            raise Boom(f"row {i}")
+        yield {"i": i, "text": "x" * 300}
+
+
+class Unserializable:
+    pass
+
+
+# Each writer gets n rows whose row ``at`` raises partway through the file.
+RAISING_WRITERS = {
+    "write_jsonl": lambda path, n, at: write_jsonl(rows_raising_at(n, at), path),
+    "write_csv": lambda path, n, at: write_csv(
+        path, ["i", "text"], ([r["i"], r["text"]] for r in rows_raising_at(n, at))
+    ),
+    # json.dump writes the chunks before the object it cannot encode.
+    "_write_json": lambda path, n, at: cli._write_json(
+        path, [Unserializable() if i == at else {"i": i, "text": "x" * 300} for i in range(n)]
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    writer=st.sampled_from(sorted(RAISING_WRITERS)),
+    previous=st.one_of(st.none(), st.binary(max_size=200)),
+    n=st.integers(1, 60),
+    data=st.data(),
+)
+def test_a_writer_that_raises_leaves_the_old_file_and_no_temporary(writer, previous, n, data):
+    at = data.draw(st.integers(0, n - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out" / "target"
+        if previous is not None:
+            path.parent.mkdir()
+            path.write_bytes(previous)
+        with pytest.raises((Boom, TypeError)):
+            RAISING_WRITERS[writer](path, n, at)
+        if previous is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == previous
+        assert [p.name for p in path.parent.iterdir()] == ([] if previous is None else ["target"])
+
+
+KILLED_WRITER = """
+import sys
+from ventureval.features import write_jsonl
+
+def rows():
+    for i in range(5000):  # about 300 KB, well past the write buffer
+        yield {"i": i, "text": "x" * 50}
+    print("blocked", flush=True)
+    sys.stdin.readline()  # killed here, mid-stream
+
+write_jsonl(rows(), sys.argv[1])
+"""
+
+
+def test_a_killed_writer_leaves_the_old_file(tmp_path):
+    path = tmp_path / "profiles.jsonl"
+    write_jsonl([{"old": True}], path)
+    old = path.read_bytes()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.Popen(
+        [sys.executable, "-c", KILLED_WRITER, str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert child.stdout.readline() == "blocked\n"
+        child.send_signal(signal.SIGKILL)
+        assert child.wait(timeout=30) == -signal.SIGKILL
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+        child.stdin.close()
+        child.stdout.close()
+    assert path.read_bytes() == old
+    # The stale temporary file holds the rows written before the kill.
+    (stale,) = tmp_path.glob(".profiles.jsonl.*.tmp")
+    assert stale.stat().st_size > 100_000
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_target_is_written_in_place(tmp_path):
+    fifo = tmp_path / "rows.jsonl"
+    os.mkfifo(fifo)
+    received = []
+    # A daemon: if the FIFO were replaced, nothing would ever open it to write.
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        write_jsonl([{"i": 1}, {"i": 2}], fifo)
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [b'{"i": 1}\n{"i": 2}\n']
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+def test_a_symlink_target_is_written_through_the_link(tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    write_csv(link, ["a", "b"], [[1, 2]])
+    assert link.is_symlink()
+    assert real.read_bytes() == b"a,b\r\n1,2\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_a_new_output_has_the_mode_of_a_plain_open(tmp_path):
+    # 022 lets group and others read, so a writer that made its files 0600
+    # (as tempfile.mkstemp does) would differ from a plain open.
+    umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "plain", "w", encoding="utf-8"):
+            pass
+        with output_file(tmp_path / "new") as fh:
+            fh.write("x")
+    finally:
+        os.umask(umask)
+    mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert mode == 0o644
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == mode
