@@ -1,8 +1,8 @@
 """HTTP transport and retry loop with exponential backoff and full jitter.
 
-The chat-completion client sends every request through one ``Sender`` and
-follows one policy: retry on connection failures, timeouts, 429 and 5xx;
-fail immediately on any other status.
+Each eval worker sends its requests through a ``Sender`` of its own. Every
+request follows one policy: retry on connection failures, timeouts, 429
+and 5xx; fail immediately on any other status.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 import random
 import re
 import sys
-import threading
 import time
 import urllib.parse
 
@@ -110,25 +109,8 @@ def _read_response(rfile, line) -> tuple:
         return status, body.decode("utf-8", errors="replace"), keep_open
 
 
-class _Link:
-    """One kept-alive connection: ``http.client`` opens it, TLS and proxy
-    tunnel included; requests and answers then go over its socket."""
-
-    def __init__(self, conn, prefix, host, extra):
-        self.conn, self.prefix, self.extra = conn, prefix, extra
-        host = host.encode("ascii") if host.isascii() else host.encode("idna")
-        self.host = b"Host: %s\r\n" % host
-        self.rfile = None
-
-    def close(self):
-        if self.rfile is not None:
-            self.rfile.close()
-            self.rfile = None
-        self.conn.close()
-
-
 class Sender:
-    """POSTs JSON on one persistent HTTP/1.1 connection per thread and origin.
+    """POSTs JSON on one persistent HTTP/1.1 connection.
 
     ``sender(url, payload, timeout_s, headers)`` returns ``(status, text)``.
     Every HTTP status, 3xx included, comes back as a value, so
@@ -138,9 +120,10 @@ class Sender:
     illegal header and a control character in the URL raise ValueError
     before anything is sent and are never retried.
 
-    ``http.client`` opens each connection; each request then goes out in
-    one write, as http.client would send it, and ``_read_response`` reads
-    the answer.
+    The connection serves one URL and timeout; a call with another URL or
+    timeout closes it and opens one for the new pair. ``http.client`` opens
+    each connection; each request then goes out in one write, as
+    http.client would send it, and ``_read_response`` reads the answer.
 
     A request that fails on a reused connection before its status line
     arrives was never answered: the server had closed the idle socket. It is
@@ -148,7 +131,8 @@ class Sender:
 
     Proxies follow ``http_proxy``/``https_proxy``/``no_proxy``, read when
     the sender is made; TLS verifies against the system CA store.
-    ``connections`` counts the connections opened; ``close()`` closes them.
+    ``connections`` counts the connections opened; ``close()`` closes the
+    open one. A sender serves one thread: it is not safe to share.
     """
 
     def __init__(self):
@@ -164,69 +148,57 @@ class Sender:
         quickack = getattr(socket, "TCP_QUICKACK", None)
         self._quickack = quickack and (socket.IPPROTO_TCP, quickack, 1)
         self._tls = None
-        self._links = {}
-        self._lock = threading.Lock()
+        self._for = None  # the (url, timeout_s) the connection serves
+        self._conn = self._rfile = None
         self.connections = 0
 
     def __call__(self, url, payload, timeout_s, headers=None):
         import http.client
 
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        link, target = self._link(url, timeout_s)
-        if _CONTROL(target):
-            raise ValueError(f"control character in the request target {target!r}")
+        if (url, timeout_s) != self._for:
+            self._open(url, timeout_s)
         fields = {"User-Agent": USER_AGENT, "Content-Type": "application/json",
-                  **(headers or {}), **link.extra}
-        request = b"".join([b"POST %s HTTP/1.1\r\n" % target.encode("ascii"), link.host,
-                            b"Accept-Encoding: identity\r\nContent-Length: %d\r\n" % len(body),
+                  **(headers or {}), **self._extra}
+        request = b"".join([self._head, b"Content-Length: %d\r\n" % len(body),
                             *(_field(name, value) for name, value in fields.items()),
                             b"\r\n", body])
-        reused = link.rfile is not None
+        reused = self._rfile is not None
         try:
             try:
-                line = self._send(link, request)
+                line = self._send(request)
             except (BrokenPipeError, ConnectionResetError):
                 if not reused:
                     raise
-                link.close()
-                line = self._send(link, request)
-            status, text, keep_open = _read_response(link.rfile, line)
+                self.close()
+                line = self._send(request)
+            status, text, keep_open = _read_response(self._rfile, line)
         except (OSError, ValueError, RetryableFailure, http.client.HTTPException) as exc:
-            link.close()
+            self.close()
             raise RetryableFailure(str(exc))
         if not keep_open:
-            link.close()
+            self.close()
         return status, text
 
-    def _send(self, link, request) -> bytes:
-        """Sends ``request`` on ``link``, connecting it first if it is
-        closed; returns the first line of the answer."""
-        if link.rfile is None:
-            link.conn.connect()
-            link.rfile = link.conn.sock.makefile("rb")
-            with self._lock:
-                self.connections += 1
-        sock = link.conn.sock
+    def _send(self, request) -> bytes:
+        """Sends ``request``, connecting first if the connection is closed;
+        returns the first line of the answer."""
+        if self._rfile is None:
+            self._conn.connect()
+            self._rfile = self._conn.sock.makefile("rb")
+            self.connections += 1
+        sock = self._conn.sock
         sock.sendall(request)
         if self._quickack:
             sock.setsockopt(*self._quickack)
-        line = _line(link.rfile)
+        line = _line(self._rfile)
         if not line:
             raise ConnectionResetError("the server closed the connection without answering")
         return line
 
-    def _link(self, url, timeout_s):
-        """``(link, request target)`` for ``url`` on this thread; a link
-        serves one thread, origin and timeout."""
-        parts = urllib.parse.urlsplit(url)
-        key = (threading.get_ident(), parts.scheme, parts.netloc, timeout_s)
-        link = self._links.get(key)
-        if link is None:
-            link = self._links[key] = self._open(parts, timeout_s)
-        return link, link.prefix + (parts.path or "/") + ("?" + parts.query if parts.query else "")
-
-    def _open(self, parts, timeout_s):
-        """A new, unconnected link for ``parts``.
+    def _open(self, url, timeout_s) -> None:
+        """Closes the connection and sets up an unconnected one for ``url``
+        and ``timeout_s``, with its request head.
 
         The Host header names the endpoint as http.client would. Through a
         proxy, plain http sends the absolute URI with the proxy's
@@ -236,7 +208,9 @@ class Sender:
         import http.client
         import urllib.request
 
+        parts = urllib.parse.urlsplit(url)
         host, port = parts.hostname, parts.port
+        target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
         if parts.scheme == "https":
             if self._tls is None:
                 import ssl
@@ -249,25 +223,35 @@ class Sender:
         name = f"[{host}]" if ":" in host else host
         if port not in (None, 443 if parts.scheme == "https" else 80):
             name = f"{name}:{port}"
+        extra = auth = {}
         proxy = self._proxies.get(parts.scheme)
         if not proxy or urllib.request.proxy_bypass(parts.netloc):
-            return _Link(kind(host, port, timeout=timeout_s), "", name, {})
-        proxy = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
-        auth = {}
-        if proxy.username is not None:
-            user_pass = ":".join(urllib.parse.unquote(part)
-                                 for part in (proxy.username, proxy.password or ""))
-            auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user_pass.encode()).decode()
-        conn = kind(proxy.hostname, proxy.port, timeout=timeout_s)
-        if parts.scheme == "https":
-            conn.set_tunnel(host, port, headers=auth)
-            return _Link(conn, "", name, {})
-        return _Link(conn, f"http://{parts.netloc}", parts.netloc, auth)
+            conn = kind(host, port, timeout=timeout_s)
+        else:
+            proxy = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if proxy.username is not None:
+                user_pass = ":".join(urllib.parse.unquote(part)
+                                     for part in (proxy.username, proxy.password or ""))
+                auth = {"Proxy-Authorization": "Basic " + base64.b64encode(user_pass.encode()).decode()}
+            conn = kind(proxy.hostname, proxy.port, timeout=timeout_s)
+            if parts.scheme == "https":
+                conn.set_tunnel(host, port, headers=auth)
+            else:
+                target, name, extra = f"http://{parts.netloc}{target}", parts.netloc, auth
+        if _CONTROL(target):
+            raise ValueError(f"control character in the request target {target!r}")
+        name = name.encode("ascii") if name.isascii() else name.encode("idna")
+        head = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (
+            target.encode("ascii"), name)
+        self.close()
+        self._conn, self._head, self._extra, self._for = conn, head, extra, (url, timeout_s)
 
     def close(self) -> None:
-        for link in list(self._links.values()):
-            link.close()
-        self._links.clear()
+        if self._rfile is not None:
+            self._rfile.close()
+            self._rfile = None
+        if self._conn is not None:
+            self._conn.close()
 
 
 def post_json(url, payload, timeout_s, headers=None):

@@ -91,7 +91,7 @@ class EvalResult:
     report: metrics.ClassificationReport
     parse_failures: int
     transport_failures: int = 0
-    connections: int = 0  # opened by the run's own sender; 0 for an injected transport
+    connections: int = 0  # opened by the run's own senders; 0 for an injected transport
     missing: int = 0  # dataset records with no audit line; 0 for a live run
 
     def summary(self) -> dict:
@@ -214,10 +214,10 @@ def dataset_labels(records) -> dict:
     missing or repeated org_id raise DataError."""
     labels = {}
     for number, record in enumerate(records, 1):
-        if record.label not in (0, 1):
-            raise DataError(f"record {record.org_id!r} has no true 0/1 label")
         if record.org_id is None:
             raise DataError(f"record {number} has no org_id")
+        if record.label not in (0, 1):
+            raise DataError(f"record {record.org_id!r} has no true 0/1 label")
         org_id = str(record.org_id)
         if org_id in labels:
             raise DataError(f"org_id {record.org_id!r} appears more than once")
@@ -248,8 +248,8 @@ def run_eval(
     before any request is sent. ``max_in_flight`` worker threads take the
     records in turn. An unexpected error stops them, and the first one is
     raised once the records in flight are done. Without an injected
-    ``transport``, each worker sends on one persistent connection
-    (``_retry.Sender``), all closed when the run ends.
+    ``transport``, each worker sends on one persistent connection, a
+    ``_retry.Sender`` of its own that it closes when it stops.
     """
     endpoint.validate()
     records = list(records)
@@ -259,14 +259,14 @@ def run_eval(
     audit_lock = threading.Lock()
     pending, pending_lock = enumerate(records), threading.Lock()
     stop = threading.Event()  # set on an unexpected error: start no more records
-    errors = []
+    errors, opened = [], []  # opened: each worker sender's connection count
 
-    def one(index: int, record) -> None:
+    def one(index: int, record, send) -> None:
         started = time.monotonic()
         messages = message_dicts(record.messages)
         error = None
         try:
-            completion = chat_complete(endpoint, messages, transport=transport, sleep=sleep, rng=rng)
+            completion = chat_complete(endpoint, messages, transport=send, sleep=sleep, rng=rng)
             raw = completion.text
             parsed = parse_response(raw)
             attempts = completion.attempts
@@ -301,20 +301,22 @@ def run_eval(
             audit.flush()
 
     def work() -> None:
+        send = Sender() if transport is None else transport
         try:
             while not stop.is_set():
                 with pending_lock:
                     item = next(pending, None)
                 if item is None:
                     return
-                one(*item)
+                one(*item, send)
         except BaseException as exc:
             errors.append(exc)
             stop.set()
+        finally:
+            if transport is None:
+                send.close()
+                opened.append(send.connections)
 
-    sender = None
-    if transport is None:
-        transport = sender = Sender()
     audit = open(audit_path, "w", encoding="utf-8") if audit_path is not None else None
     workers = []
     try:
@@ -328,13 +330,11 @@ def run_eval(
         stop.set()  # e.g. Ctrl-C: let in-flight records finish and log
         for worker in workers:
             worker.join()
-        if sender is not None:
-            sender.close()
         if audit is not None:
             audit.close()
     if errors:
         raise errors[0]
-    return _score(results, sender.connections if sender is not None else 0)
+    return _score(results, sum(opened))
 
 
 def score_audit_log(audit_path, labels_by_org) -> EvalResult:
@@ -346,7 +346,8 @@ def score_audit_log(audit_path, labels_by_org) -> EvalResult:
     or empty audit, or an org_id without a label or seen on an earlier line,
     raises DataError naming the file and line (``features.read_jsonl``).
     A partial audit scores the lines it has; ``missing`` counts the dataset
-    records it lacks.
+    records it lacks. A last line without its newline that is not JSON was
+    cut mid-write by a killed run: it is not scored, so it counts as missing.
     """
     seen = set()
 
@@ -379,7 +380,7 @@ def score_audit_log(audit_path, labels_by_org) -> EvalResult:
             transport_error=error,
         )
 
-    outcomes = read_jsonl(audit_path, outcome)
+    outcomes = read_jsonl(audit_path, outcome, torn_tail=True)
     if not outcomes:
         raise DataError(f"audit log {audit_path} is empty")
     result = _score(outcomes)

@@ -350,38 +350,36 @@ def write_profiles_jsonl(profiles, path) -> int:
     return write_jsonl(map(CompanyProfile._asdict, profiles), path)
 
 
-def _jsonl_lines(path):
-    """``(line number, text)`` for each non-blank line of ``path``. A line
-    that is not UTF-8 raises DataError naming the file and line."""
-    # surrogateescape defers decode errors to the line that holds them.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            reason = undecodable(line)
-            if reason:
-                raise DataError(f"{path}:{lineno}: {reason}")
-            if line.strip():
-                yield lineno, line
-
-
-def read_jsonl(path, build) -> list:
+def read_jsonl(path, build, torn_tail=False) -> list:
     """``build(obj)`` for each JSON object line of ``path``; blank lines are
     skipped. A line that is not UTF-8, not a JSON object, or whose object
     ``build`` rejects (KeyError, TypeError, ValueError), raises DataError
-    naming the file and line."""
+    naming the file and line. With ``torn_tail``, a last line that has no
+    newline and is not UTF-8 JSON is a write cut short, and is skipped."""
     out = []
-    for lineno, line in _jsonl_lines(path):
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: not JSON: {exc}")
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
-        try:
-            out.append(build(obj))
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing field {exc}")
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}")
+    # surrogateescape defers decode errors to the line that holds them.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            reason = undecodable(line)
+            if reason is None:
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    reason = f"not JSON: {exc}"
+            if reason:
+                if torn_tail and not line.endswith("\n"):
+                    break
+                raise DataError(f"{path}:{lineno}: {reason}")
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+            try:
+                out.append(build(obj))
+            except KeyError as exc:
+                raise DataError(f"{path}:{lineno}: missing field {exc}")
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}")
     return out
 
 

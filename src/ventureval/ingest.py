@@ -21,7 +21,7 @@ import os
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -132,17 +132,34 @@ def identity_mapping() -> dict:
     return {kind: {c: c for c in cols} for kind, cols in LOGICAL_COLUMNS.items()}
 
 
+# A timestamp: a date, "T" or a space, then the time as Python 3.10's
+# datetime.fromisoformat documents it, HH[:MM[:SS[.fff[fff]]]], and an
+# optional offset, +HH:MM[:SS[.ffffff]] or Z. Digits are ASCII.
+_TIMESTAMP = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})[T ]"
+    r"([01][0-9]|2[0-3])(:[0-5][0-9](:[0-5][0-9](\.[0-9]{3}([0-9]{3})?)?)?)?"
+    r"(Z|[+-]([01][0-9]|2[0-3]):[0-5][0-9](:[0-5][0-9](\.[0-9]{6})?)?)?"
+).fullmatch
+
+
 def parse_iso_date(text: str) -> Optional[date]:
-    """ISO date, or a timestamp truncated to its date; empty -> None."""
+    """A ``YYYY-MM-DD`` date, or the date of a ``_TIMESTAMP``; empty -> None.
+
+    The accepted strings are the same on every Python version: newer ones
+    read more forms (``2020-W01-1``, ``20200101``) that are row errors here.
+    """
     text = text.strip()
     if not text:
         return None
     try:
-        if len(text) == 10:
+        if len(text) == 10 and text[4] == "-" == text[7]:
             return date.fromisoformat(text)
-        return datetime.fromisoformat(text).date()
+        stamp = _TIMESTAMP(text)
+        if stamp:
+            return date.fromisoformat(stamp[1])
     except ValueError:
-        raise ValueError(f"not an ISO-8601 date: {text!r}")
+        pass
+    raise ValueError(f"not an ISO-8601 date: {text!r}")
 
 
 def _parse_amount(text: str) -> Optional[float]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import ingest
 from .config import DEFAULT_REFERENCE_DATE
-from .features import DAYS_PER_YEAR, FEATURE_COLUMNS, compute_age, write_jsonl
+from .features import _FLOAT_MAX, DAYS_PER_YEAR, FEATURE_COLUMNS, compute_age, write_jsonl
 
 NOISE_MODES = ("threshold", "logistic")
 
@@ -78,9 +78,14 @@ _OTHER_TITLES = (
 )
 
 
+# The largest Poisson rate NumPy draws from; it refuses anything above.
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.iinfo(np.int64).max ** 0.5
+
+
 def _is_number(value) -> bool:
-    # type(), not isinstance: a JSON true is not a number.
-    return type(value) in (int, float)
+    # type(), not isinstance: a JSON true is not a number. JSON's NaN and
+    # Infinity are not numbers either.
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
 
 
 # What a JSON value must be, by the type of the field's default.
@@ -119,7 +124,7 @@ class SynthConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         try:
-            date.fromisoformat(self.reference_date)
+            reference = date.fromisoformat(self.reference_date)
         except ValueError:
             raise ValueError(f"reference_date must be an ISO date, got {self.reference_date!r}")
         if self.noise not in NOISE_MODES:
@@ -135,9 +140,12 @@ class SynthConfig:
         lo, hi = self.age_range_years
         if not (0 <= lo <= hi):
             raise ValueError("age_range_years must satisfy 0 <= lo <= hi")
+        if hi * DAYS_PER_YEAR > (reference - date.min).days:
+            raise ValueError(f"age_range_years reaches before {date.min} from reference_date "
+                             f"{self.reference_date}")
         for name in ("rounds_lambda", "investors_lambda", "executives_lambda", "other_jobs_lambda"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) <= _POISSON_LAM_MAX:
+                raise ValueError(f"{name} must be in [0, {_POISSON_LAM_MAX:.6g}]")
         if self.funding_sigma < 0:
             raise ValueError("funding_sigma must be >= 0")
         for key, rate in self.missing_rates.items():
@@ -149,7 +157,13 @@ class SynthConfig:
                 raise ValueError(f"missing rate for {key} must be in [0, 1)")
         if not (0 <= self.leak_phrase_rate < 1):
             raise ValueError("leak_phrase_rate must be in [0, 1)")
-        means, stds = standardization_moments(self)
+        try:
+            means, stds = standardization_moments(self)
+        except OverflowError:
+            stds = [math.inf]
+        if not np.isfinite(stds).all():
+            raise ValueError("funding_mu, funding_sigma and rounds_lambda make the funding "
+                             "moments overflow")
         for i, b in enumerate(self.beta):
             if b != 0.0 and stds[i] == 0.0:
                 raise ValueError(

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -569,6 +570,10 @@ def test_score_reproduces_eval_report(tmp_path, contents, exit_code):
          "audit.jsonl:1: transport_error is not a string: 5"),
         ('{"org_id": 0, "raw": "x"}\n', "audit.jsonl:1: org_id is not a string: 0"),
         ('{"org_id": ["org0"], "raw": "x"}\n', "audit.jsonl:1: org_id is not a string: ['org0']"),
+        # Only a last line without its newline can be a torn write.
+        ('{"org_id": "org0", "raw": "x"}\n{"org_id": "org1", "ra\n{"org_id": "org2"}',
+         "audit.jsonl:2: not JSON"),
+        ('{"org_id": "org0", "ra\n', "audit.jsonl:1: not JSON"),
     ],
 )
 def test_score_data_faults_exit_with_data_error(tmp_path, audit, message):
@@ -888,6 +893,29 @@ def test_mistyped_synth_config_is_usage_error(tmp_path, field, value, shown):
     result = invoke("synth", "--synth-config", str(path), "--out", str(tmp_path / "data"))
     assert result.exit_code == 2, result.output
     assert shown in result.output
+
+
+@pytest.mark.parametrize("change, shown", [
+    ({"intercept": math.nan}, "'intercept' must be a number, got nan"),
+    ({"funding_sigma": math.nan}, "'funding_sigma' must be a number"),
+    ({"age_range_years": [0, math.inf]}, "'age_range_years' must be a list of numbers"),
+    ({"age_range_years": [0, 1e300]}, "age_range_years reaches before 0001-01-01"),
+    ({"age_range_years": [0, 100000]}, "age_range_years reaches before 0001-01-01"),
+    ({"reference_date": "0001-01-02"}, "from reference_date 0001-01-02"),
+    ({"funding_mu": 700, "funding_sigma": 0}, "funding_mu, funding_sigma and rounds_lambda"),
+    ({"rounds_lambda": math.inf}, "'rounds_lambda' must be a number"),
+    ({"rounds_lambda": 1e300}, "rounds_lambda must be in [0, 9.22337e+18]"),
+], ids=["nan-intercept", "nan-sigma", "infinite-age", "huge-age", "age-before-year-1",
+        "reference-in-year-1", "funding-overflow", "infinite-rate", "huge-rate"])
+def test_synth_config_that_cannot_be_generated_is_usage_error(tmp_path, change, shown):
+    config = json.loads((CONFIG_DIR / "synth_threshold.json").read_text())
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({**config, **change}), encoding="utf-8")
+    result = invoke("synth", "--synth-config", str(path), "--out", str(tmp_path / "data"),
+                    "--n", "50")
+    assert result.exit_code == 2, result.output
+    assert shown in result.output
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -411,8 +411,10 @@ def test_a_data_error_is_a_value_error():
      "record 'c9' has no true 0/1 label"),
     (make_records(2) + [ChatRecord(messages=[ChatMessage("user", "x")], label=0)],
      "record 3 has no org_id"),
+    (make_records(2) + [ChatRecord(messages=[ChatMessage("user", "x")])],
+     "record 3 has no org_id"),
     (make_records(2) * 2, "org_id 'c0' appears more than once"),
-], ids=["empty", "unlabeled", "no-org-id", "repeated-org-id"])
+], ids=["empty", "unlabeled", "no-org-id", "no-org-id-or-label", "repeated-org-id"])
 def test_run_eval_raises_a_data_error_before_any_request(records, message):
     with pytest.raises(DataError, match=f"^{message}$"):
         run_eval(ENDPOINT, records, transport=never_called)
@@ -556,6 +558,51 @@ def test_missing_counts_the_lines_cut_off_an_audit(answers, data):
     assert rescored.missing == len(lines) - kept
     assert rescored.summary()["missing"] == rescored.missing
     assert len(rescored.outcomes) == kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    answers=st.lists(
+        st.tuples(st.sampled_from(ANSWER_KINDS), st.sampled_from(["Successful", "Unsuccessful"])),
+        min_size=2,
+        max_size=8,
+    ),
+    data=st.data(),
+)
+def test_a_last_line_cut_mid_write_counts_as_missing(answers, data):
+    # A killed run can leave the start of its last line: that line is not
+    # scored, and everything before it is.
+    labels = {f"c{i}": i % 2 for i in range(len(answers))}
+    with tempfile.TemporaryDirectory() as tmp:
+        audit_path = Path(tmp) / "audit.jsonl"
+        run_eval(ENDPOINT, make_records(len(answers)), transport=scripted_transport(answers),
+                 audit_path=audit_path, sleep=lambda s: None)
+        audit = audit_path.read_bytes()
+        start = audit.rindex(b"\n", 0, len(audit) - 1) + 1
+        audit_path.write_bytes(audit[:start])
+        head = score_audit_log(audit_path, labels)
+        # The line's length varies with latency_ms, so draw its share.
+        cut = start + data.draw(st.integers(0, 2**32)) % (len(audit) - 1 - start)
+        audit_path.write_bytes(audit[:cut])
+        torn = score_audit_log(audit_path, labels)
+        audit_path.write_bytes(audit[:-1])
+        all_lines = score_audit_log(audit_path, labels)
+    assert head.missing == torn.missing == 1
+    assert torn.summary() == head.summary()
+    assert per_org(torn) == per_org(head)
+    assert all_lines.missing == 0
+    assert len(all_lines.outcomes) == len(answers)
+
+
+def test_a_last_line_cut_inside_a_character_counts_as_missing(tmp_path):
+    audit_path = tmp_path / "audit.jsonl"
+    lines = [json.dumps({"org_id": org_id, "raw": "Prediction: Successful, café"}, ensure_ascii=False)
+             for org_id in ("c0", "c1")]
+    data = "\n".join(lines).encode("utf-8")
+    audit_path.write_bytes(data[:data.rindex("é".encode("utf-8")) + 1])
+    result = score_audit_log(audit_path, {"c0": 1, "c1": 0})
+    assert [o.org_id for o in result.outcomes] == ["c0"]
+    assert result.missing == 1
 
 
 def test_audit_line_schema(tmp_path):

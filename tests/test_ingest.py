@@ -184,6 +184,51 @@ def test_timestamps_truncate_to_dates():
         parse_iso_date("11/06/2020")
 
 
+# Each string with the date it reads as, or None for a row error. The table
+# holds on every supported Python: Python 3.11 reads the week form, the basic
+# form and more timestamps than 3.10 does, and those are row errors here.
+@pytest.mark.parametrize("text, expected", [
+    ("2020-06-11", date(2020, 6, 11)),
+    (" 2020-06-11\t", date(2020, 6, 11)),
+    ("0001-01-01", date(1, 1, 1)),
+    ("2020-06-11T12", date(2020, 6, 11)),
+    ("2020-06-11 12:34", date(2020, 6, 11)),
+    ("2020-06-11T23:59:59", date(2020, 6, 11)),
+    ("2020-06-11T12:34:56.123", date(2020, 6, 11)),
+    ("2020-06-11T12:34:56.123456", date(2020, 6, 11)),
+    ("2020-06-11T12:34+05:30", date(2020, 6, 11)),
+    ("2020-06-11T12:34:56-23:59:59.999999", date(2020, 6, 11)),
+    ("2020-01-01T00:00:00Z", date(2020, 1, 1)),
+    ("2020-W01-1", None),
+    ("2020W011", None),
+    ("20200101", None),
+    ("2020-1-01", None),
+    ("2020-02-30", None),
+    ("2020-13-01", None),
+    ("２０２０-01-01", None),
+    ("2020-01-0\u0661", None),
+    ("2020-06-11T", None),
+    ("2020-06-11x12:34", None),
+    ("2020-06-11T24:00", None),
+    ("2020-06-11T12:60", None),
+    ("2020-06-11T12:34:60", None),
+    ("2020-06-11T12:34:56.1234", None),
+    ("2020-06-11T12:34:56,123", None),
+    ("2020-06-11T1234", None),
+    ("2020-06-11T12:34+0530", None),
+    ("2020-06-11T12:34+24:00", None),
+    ("2020-06-11T12:34+05:30Z", None),
+    ("2020-06-11T12:34z", None),
+    ("2020-06-11T1\u0662:34", None),
+])
+def test_accepted_date_forms_are_one_set(text, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match="not an ISO-8601 date"):
+            parse_iso_date(text)
+    else:
+        assert parse_iso_date(text) == expected
+
+
 def test_row_conservation(tmp_path):
     rng = random.Random(5)
     lines = []

@@ -355,23 +355,48 @@ def test_split_header_and_body_writes_do_not_stall(keepalive):
 
 
 def test_run_eval_closes_every_connection(keepalive, monkeypatch):
-    # Senders are kept alive here, so only run_eval's own close() can end
-    # their connections.
-    made = []
+    # Each worker makes one sender and closes it itself, on its own thread.
+    made, closed_by = [], {}
 
-    class KeptSender(Sender):
+    class OwnedSender(Sender):
         def __init__(self):
             super().__init__()
+            self.thread = threading.get_ident()
             made.append(self)
 
-    monkeypatch.setattr(client, "Sender", KeptSender)
+        def close(self):
+            super().close()
+            closed_by[self] = threading.get_ident()
+
+    monkeypatch.setattr(client, "Sender", OwnedSender)
     endpoint = EndpointConfig(base_url=keepalive.url, model="m", max_in_flight=3)
     result = run_eval(endpoint, eval_records(40), sleep=lambda s: None)
     assert result.transport_failures == 0
-    assert len(made) == 1
-    assert 1 <= result.connections <= 3
+    assert len(made) == 3
+    assert {sender: sender.thread for sender in made} == closed_by
+    assert result.connections == sum(sender.connections for sender in made) >= 1
     assert wait_for(lambda: keepalive.closed == keepalive.opened)
     assert keepalive.opened == result.connections
+
+
+def test_another_url_or_timeout_closes_the_connection_and_opens_one(keepalive):
+    sender = Sender()
+    try:
+        for url, timeout_s in [(keepalive.url + "/a", 5.0), (keepalive.url + "/a", 5.0),
+                               (keepalive.url + "/b", 5.0), (keepalive.url + "/b", 6.0)]:
+            assert sender(url, {"url": url, "timeout_s": timeout_s}, timeout_s)[0] == 200
+        assert sender.connections == keepalive.opened == 3
+        assert wait_for(lambda: keepalive.closed == 2)
+        # A URL that cannot be sent leaves the open connection as it was.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sender(keepalive.url + "/caf\u00e9", {}, 6.0)
+        assert sender(keepalive.url + "/b", {"again": True}, 6.0)[0] == 200
+        assert sender.connections == 3
+    finally:
+        sender.close()
+    assert wait_for(lambda: keepalive.closed == 3)
+    assert len(keepalive.bodies) == 5
 
 
 class ProxyHandler(BaseHTTPRequestHandler):
@@ -539,6 +564,7 @@ def test_request_bytes_are_those_http_client_sends(raw, monkeypatch, route):
     ("/v1/a b", {}),
     ("/v1/a\x01b", {}),
     ("/v1/a\x7fb", {}),
+    ("/v1/caf\u00e9", {}),
 ])
 def test_an_unsafe_request_raises_before_anything_is_sent(raw, path, headers):
     sender = Sender()
