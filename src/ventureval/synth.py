@@ -127,6 +127,8 @@ class SynthConfig:
             reference = date.fromisoformat(self.reference_date)
         except ValueError:
             raise ValueError(f"reference_date must be an ISO date, got {self.reference_date!r}")
+        if reference >= date.max:  # an event date can fall one day after it
+            raise ValueError(f"reference_date must be before {date.max}")
         if self.noise not in NOISE_MODES:
             raise ValueError(f"noise must be one of {NOISE_MODES}")
         if len(self.beta) != 6:

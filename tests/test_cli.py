@@ -902,11 +902,14 @@ def test_mistyped_synth_config_is_usage_error(tmp_path, field, value, shown):
     ({"age_range_years": [0, 1e300]}, "age_range_years reaches before 0001-01-01"),
     ({"age_range_years": [0, 100000]}, "age_range_years reaches before 0001-01-01"),
     ({"reference_date": "0001-01-02"}, "from reference_date 0001-01-02"),
+    ({"reference_date": "9999-12-31", "age_range_years": [0, 0.001]},
+     "reference_date must be before 9999-12-31"),
     ({"funding_mu": 700, "funding_sigma": 0}, "funding_mu, funding_sigma and rounds_lambda"),
     ({"rounds_lambda": math.inf}, "'rounds_lambda' must be a number"),
     ({"rounds_lambda": 1e300}, "rounds_lambda must be in [0, 9.22337e+18]"),
 ], ids=["nan-intercept", "nan-sigma", "infinite-age", "huge-age", "age-before-year-1",
-        "reference-in-year-1", "funding-overflow", "infinite-rate", "huge-rate"])
+        "reference-in-year-1", "reference-at-date-max", "funding-overflow", "infinite-rate",
+        "huge-rate"])
 def test_synth_config_that_cannot_be_generated_is_usage_error(tmp_path, change, shown):
     config = json.loads((CONFIG_DIR / "synth_threshold.json").read_text())
     path = tmp_path / "synth.json"

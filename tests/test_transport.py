@@ -374,7 +374,9 @@ def test_run_eval_closes_every_connection(keepalive, monkeypatch):
     assert result.transport_failures == 0
     assert len(made) == 3
     assert {sender: sender.thread for sender in made} == closed_by
-    assert result.connections == sum(sender.connections for sender in made) >= 1
+    # Keep-alive: a worker opens at most one connection for the whole run.
+    assert all(sender.connections <= 1 for sender in made)
+    assert 1 <= result.connections == sum(sender.connections for sender in made) <= 3
     assert wait_for(lambda: keepalive.closed == keepalive.opened)
     assert keepalive.opened == result.connections
 
