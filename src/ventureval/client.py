@@ -22,7 +22,7 @@ from . import metrics
 from ._retry import Sender, post_json, run_with_retries
 from .config import EndpointConfig
 from .errors import DataError, TransportError
-from .features import _FLOAT_MAX, encode_json, read_jsonl
+from .features import check_count, check_number, check_text, encode_json, read_jsonl
 from .prompts import message_dicts
 
 PARSED = "parsed"
@@ -353,8 +353,7 @@ def score_audit_log(audit_path, labels_by_org) -> EvalResult:
 
     def outcome(entry: dict) -> EvalOutcome:
         org_id = entry["org_id"]
-        if type(org_id) is not str:
-            raise ValueError(f"org_id is not a string: {org_id!r}")
+        check_text("org_id", org_id)
         if org_id not in labels_by_org:
             raise ValueError(f"no label for org_id {org_id!r} in the dataset")
         if org_id in seen:
@@ -362,15 +361,12 @@ def score_audit_log(audit_path, labels_by_org) -> EvalResult:
         seen.add(org_id)
         error, raw = entry.get("transport_error"), entry.get("raw")
         latency_ms, attempts = entry.get("latency_ms", 0.0), entry.get("attempts", 0)
-        # type(), not isinstance: a JSON true is not a count.
-        if error is None and type(raw) is not str:
-            raise ValueError(f"no transport_error, and raw is not a string: {raw!r}")
-        if error is not None and type(error) is not str:
-            raise ValueError(f"transport_error is not a string: {error!r}")
-        if type(latency_ms) not in (int, float) or not abs(latency_ms) <= _FLOAT_MAX:
-            raise ValueError(f"latency_ms is not a finite number: {latency_ms!r}")
-        if type(attempts) is not int or attempts < 0:
-            raise ValueError(f"attempts is not a count: {attempts!r}")
+        if error is None:
+            check_text("raw", raw)
+        else:
+            check_text("transport_error", error)
+        check_number("latency_ms", latency_ms)
+        check_count("attempts", attempts)
         return EvalOutcome(
             org_id=org_id,
             true_label=int(labels_by_org[org_id]),

@@ -10,7 +10,6 @@ label marks an exit: the company either went public or was acquired
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import operator
 import random
@@ -58,7 +57,6 @@ FEATURE_COLUMNS = (
 # 0/1 flags.
 TEXT_PROFILE_FIELDS = ("org_id", "name", "description")
 FLAG_PROFILE_FIELDS = ("had_ipo", "was_acquired", "success", "age_imputed", "raised_imputed")
-_FLOAT_MAX = sys.float_info.max
 
 DESC_TOKEN_BUCKETS = (0, 8, 16, 32, 64, 128, 256, 512)
 
@@ -383,7 +381,13 @@ def read_jsonl(path, build, torn_tail=False) -> list:
     return out
 
 
-def _check_text(name: str, value) -> None:
+# The value rules of every JSON reader: profiles, prompt records, audit
+# lines, the synth config. type(), not isinstance: a JSON true or false is
+# neither a number nor a flag nor a count.
+_FLOAT_MAX = sys.float_info.max
+
+
+def check_text(name: str, value) -> None:
     """Reject a field that should be text but is not a string, or that holds
     a lone surrogate."""
     if type(value) is not str:
@@ -392,50 +396,45 @@ def _check_text(name: str, value) -> None:
         raise ValueError(f"{name} holds a lone surrogate: {value!r}")
 
 
-# The types a profile's values may have, in PROFILE_FIELDS order: type(),
-# not isinstance, since a JSON true or false is neither a number nor a flag.
-_PROFILE_TYPES = frozenset(
-    (str,) * len(TEXT_PROFILE_FIELDS) + numbers + (int,) * len(FLAG_PROFILE_FIELDS)
-    for numbers in itertools.product((int, float), repeat=len(FEATURE_COLUMNS))
-)
+def is_number(value) -> bool:
+    """An int or float within the float range: JSON's NaN and Infinity, and
+    integers too large for a float, are not numbers."""
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+
+
+def check_number(name: str, value) -> None:
+    if not is_number(value):
+        raise ValueError(f"{name} is not a finite number: {value!r}")
+
+
+def check_flag(name: str, value) -> None:
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"{name} is not 0 or 1: {value!r}")
+
+
+def check_count(name: str, value) -> None:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} is not a count: {value!r}")
+
+
 _dict_values = operator.itemgetter(*PROFILE_FIELDS)
-_TEXTS = slice(len(TEXT_PROFILE_FIELDS))
-_NUMBERS = slice(len(TEXT_PROFILE_FIELDS), len(TEXT_PROFILE_FIELDS) + len(FEATURE_COLUMNS))
-_FLAGS = slice(_NUMBERS.stop, None)
-_BITS = frozenset((0, 1))
+_PROFILE_RULES = tuple(
+    zip(
+        PROFILE_FIELDS,
+        [check_text] * len(TEXT_PROFILE_FIELDS)
+        + [check_number] * len(FEATURE_COLUMNS)
+        + [check_flag] * len(FLAG_PROFILE_FIELDS),
+    )
+)
 
 
 def _profile_from_dict(obj: dict) -> CompanyProfile:
     """The profile ``obj`` holds, or ValueError naming its first bad field.
-
-    One pass checks every field; only an object that fails it is checked
-    again field by field, which words the error. Other keys are ignored.
-    """
+    Other keys are ignored."""
     values = _dict_values(obj)  # a KeyError names the first missing field
-    if (
-        tuple(map(type, values)) in _PROFILE_TYPES
-        and {*values[_FLAGS]} <= _BITS
-        and all(map(_FLOAT_MAX.__ge__, map(abs, values[_NUMBERS])))
-        and not undecodable("".join(values[_TEXTS]))  # no lone surrogate
-    ):
-        return tuple.__new__(CompanyProfile, values)  # CompanyProfile._make less its checks
-    return _checked_profile(dict(zip(PROFILE_FIELDS, values)))
-
-
-def _checked_profile(values: dict) -> CompanyProfile:
-    """The profile of ``values`` after a check of each field in turn, which
-    names the first bad one."""
-    for name in TEXT_PROFILE_FIELDS:
-        _check_text(name, values[name])
-    for name in FEATURE_COLUMNS:
-        value = values[name]
-        if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
-            raise ValueError(f"{name} is not a finite number: {value!r}")
-    for name in FLAG_PROFILE_FIELDS:
-        value = values[name]
-        if type(value) is not int or value not in (0, 1):
-            raise ValueError(f"{name} is not 0 or 1: {value!r}")
-    return CompanyProfile(**values)
+    for (name, check), value in zip(_PROFILE_RULES, values):
+        check(name, value)
+    return tuple.__new__(CompanyProfile, values)  # CompanyProfile._make less its checks
 
 
 def read_profiles_jsonl(path):

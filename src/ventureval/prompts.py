@@ -22,7 +22,7 @@ from typing import Optional
 
 from .config import VARIANTS
 from .errors import DataError
-from .features import CompanyProfile, _check_text, read_jsonl, write_jsonl
+from .features import CompanyProfile, check_flag, check_text, read_jsonl, write_jsonl
 
 IM_START = "<|im_start|>"
 IM_END = "<|im_end|>"
@@ -423,15 +423,15 @@ def record_from_dict(obj: dict) -> ChatRecord:
     for message in messages:
         if type(message) is not dict:
             raise ValueError(f"message is not an object: {message!r}")
-        _check_text("message content", message["content"])
+        check_text("message content", message["content"])
         chat.append(ChatMessage(message["role"], message["content"]))
     label = obj.get("label")
-    if label is not None and (type(label) is not int or label not in (0, 1)):
-        raise ValueError(f"label is not null, 0 or 1: {label!r}")
+    if label is not None:
+        check_flag("label", label)
     texts = {name: obj.get(name) for name in ("justification", "org_id", "variant")}
     for name, value in texts.items():
         if value is not None:
-            _check_text(name, value)
+            check_text(name, value)
     return ChatRecord(messages=chat, label=label, **texts)
 
 

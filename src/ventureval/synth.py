@@ -25,7 +25,7 @@ import numpy as np
 
 from . import ingest
 from .config import DEFAULT_REFERENCE_DATE
-from .features import _FLOAT_MAX, DAYS_PER_YEAR, FEATURE_COLUMNS, compute_age, write_jsonl
+from .features import DAYS_PER_YEAR, FEATURE_COLUMNS, compute_age, is_number, write_jsonl
 
 NOISE_MODES = ("threshold", "logistic")
 
@@ -82,19 +82,13 @@ _OTHER_TITLES = (
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.iinfo(np.int64).max ** 0.5
 
 
-def _is_number(value) -> bool:
-    # type(), not isinstance: a JSON true is not a number. JSON's NaN and
-    # Infinity are not numbers either.
-    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
-
-
 # What a JSON value must be, by the type of the field's default.
 _FIELD_TYPES = {
     str: ("a string", lambda v: type(v) is str),
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", _is_number),
-    tuple: ("a list of numbers", lambda v: type(v) in (list, tuple) and all(map(_is_number, v))),
-    dict: ("an object of numbers", lambda v: type(v) is dict and all(map(_is_number, v.values()))),
+    float: ("a number", is_number),
+    tuple: ("a list of numbers", lambda v: type(v) in (list, tuple) and all(map(is_number, v))),
+    dict: ("an object of numbers", lambda v: type(v) is dict and all(map(is_number, v.values()))),
 }
 
 

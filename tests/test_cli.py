@@ -564,8 +564,8 @@ def test_score_reproduces_eval_report(tmp_path, contents, exit_code):
          "audit.jsonl:1: latency_ms is not a finite number: 1" + "0" * 400),
         ('{"org_id": "org0", "raw": "x", "attempts": "2"}\n', "audit.jsonl:1: attempts is not a count: '2'"),
         ('{"org_id": "org0", "raw": "x", "attempts": true}\n', "audit.jsonl:1: attempts is not a count: True"),
-        ('{"org_id": "org0"}\n', "audit.jsonl:1: no transport_error, and raw is not a string: None"),
-        ('{"org_id": "org0", "raw": 5}\n', "audit.jsonl:1: no transport_error, and raw is not a string: 5"),
+        ('{"org_id": "org0"}\n', "audit.jsonl:1: raw is not a string: None"),
+        ('{"org_id": "org0", "raw": 5}\n', "audit.jsonl:1: raw is not a string: 5"),
         ('{"org_id": "org0", "raw": null, "transport_error": 5}\n',
          "audit.jsonl:1: transport_error is not a string: 5"),
         ('{"org_id": 0, "raw": "x"}\n', "audit.jsonl:1: org_id is not a string: 0"),
@@ -681,9 +681,9 @@ def test_mistyped_profile_field_exits_with_data_error(tmp_path, stage, field, va
 
 @pytest.mark.parametrize("stage", ["eval-endpoint", "score"])
 @pytest.mark.parametrize("field,value,reason", [
-    ("label", 2, "label is not null, 0 or 1: 2"),
-    ("label", True, "label is not null, 0 or 1: True"),
-    ("label", "1", "label is not null, 0 or 1: '1'"),
+    ("label", 2, "label is not 0 or 1: 2"),
+    ("label", True, "label is not 0 or 1: True"),
+    ("label", "1", "label is not 0 or 1: '1'"),
     ("messages", [], "messages is not a non-empty list: []"),
     ("messages", "company a", "messages is not a non-empty list: 'company a'"),
     ("messages", [5], "message is not an object: 5"),

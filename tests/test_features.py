@@ -24,7 +24,7 @@ from ventureval.features import (
     TEXT_PROFILE_FIELDS,
     CompanyProfile,
     SplitSpec,
-    _check_text,
+    check_text,
     _largest_remainder,
     balance_dataset,
     compute_age,
@@ -385,7 +385,7 @@ def field_by_field_profile(obj: dict) -> CompanyProfile:
     values = {name: obj[name] for name in PROFILE_FIELDS}
     # type(), not isinstance: a JSON true or false is neither a number nor a flag.
     for name in TEXT_PROFILE_FIELDS:
-        _check_text(name, values[name])
+        check_text(name, values[name])
     for name in FEATURE_COLUMNS:
         value = values[name]
         if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
