@@ -26,7 +26,7 @@ import functools
 import json
 import sys
 import time
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 import click
@@ -258,7 +258,9 @@ def features_cmd(ctx, ingested_dir, reference_date, out_dir):
     from . import features as features_mod
 
     with _usage():
-        reference = date.fromisoformat(reference_date)
+        reference = ingest_mod.parse_iso_date(reference_date)
+        if reference is None:
+            raise ValueError(f"not an ISO-8601 date: {reference_date!r}")
     if ingested_dir is None:
         ingested_dir = out_dir / "ingested"
     for kind in ingest_mod.TABLE_KINDS:

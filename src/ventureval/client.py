@@ -135,7 +135,8 @@ def chat_complete(
     Retries timeouts, connection failures, 429 and 5xx with exponential
     backoff (base 1 s, factor 2, full jitter) up to ``max_retries`` extra
     attempts; other 4xx fail immediately. A well-formed transport answer
-    that is not the expected JSON shape raises TransportError too.
+    that is not the expected JSON shape, or whose content fails
+    ``features.check_text``, raises TransportError too, with no retry.
     """
     endpoint.validate()
     if not messages:
@@ -165,8 +166,10 @@ def chat_complete(
         content = obj["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"malformed chat-completion response: {exc}", attempts=attempt_log)
-    if not isinstance(content, str):
-        raise TransportError("completion content is not a string", attempts=attempt_log)
+    try:
+        check_text("completion content", content)  # UTF-8 cannot hold a lone surrogate
+    except ValueError as exc:
+        raise TransportError(str(exc), attempts=attempt_log)
     return CompletionResult(text=content, attempts=len(attempt_log), latency_ms=latency_ms)
 
 

@@ -118,8 +118,10 @@ class SynthConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         try:
-            reference = date.fromisoformat(self.reference_date)
+            reference = ingest.parse_iso_date(self.reference_date)
         except ValueError:
+            reference = None
+        if reference is None:
             raise ValueError(f"reference_date must be an ISO date, got {self.reference_date!r}")
         if reference >= date.max:  # an event date can fall one day after it
             raise ValueError(f"reference_date must be before {date.max}")
@@ -276,7 +278,7 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
     config.validate()
     out_dir = Path(out_dir)
     rng = np.random.default_rng(config.seed)
-    reference = date.fromisoformat(config.reference_date)
+    reference = ingest.parse_iso_date(config.reference_date)
     lo, hi = config.age_range_years
 
     orgs, rounds, investments, jobs = [], [], [], []

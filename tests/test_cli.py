@@ -25,6 +25,7 @@ from ventureval.features import write_profiles_jsonl
 from ventureval.prompts import (
     ChatMessage, ChatRecord, emit_jsonl, render_prompt, template_tokens, training_manifest,
 )
+from ventureval.synth import SynthConfig
 from test_cli_fuzz import assert_exit_0_or_3, mutated
 
 runner = CliRunner()
@@ -402,15 +403,17 @@ def test_budget_below_every_record_is_usage_error(tmp_path, args, config):
 class ScriptedEvalHandler(BaseHTTPRequestHandler):
     """Answers by the prompt's first word: "reject" gets HTTP 400 with a label
     word in the body, "fallback" a fallback-grammar answer, "garbled" an
-    unparseable one, "malformed" a 200 that is not JSON, and "flaky" a 503
-    on first sight; anything else gets "Prediction: Successful"."""
+    unparseable one, "surrogate" an answer holding a lone surrogate,
+    "malformed" a 200 that is not JSON, and "flaky" a 503 on first sight;
+    anything else gets "Prediction: Successful"."""
 
     seen = set()
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         content = json.loads(self.rfile.read(length))["messages"][-1]["content"]
-        answers = {"fallback": "looks unsuccessful", "garbled": "no idea at all"}
+        answers = {"fallback": "looks unsuccessful", "garbled": "no idea at all",
+                   "surrogate": "Prediction: Successful \ud800"}
         kind = content.split()[0]
         if kind == "reject":
             status, body = 400, json.dumps({"error": "unsuccessful request"})
@@ -507,6 +510,7 @@ def assert_rescore_matches(report_path, rescore_path):
         (["flaky a", "company b", "flaky c", "company d"], 0),
         (["company a", "reject b", "fallback c", "garbled d", "flaky e", "malformed f"], 0),
         (["reject a", "reject b", "reject c", "reject d"], 4),
+        (["company a", "surrogate b"], 0),
     ],
 )
 def test_score_reproduces_eval_report(tmp_path, contents, exit_code):
@@ -530,7 +534,7 @@ def test_score_reproduces_eval_report(tmp_path, contents, exit_code):
     assert report["n_records"] == len(contents)
     assert sum(report["parse_status"].values()) == len(contents)
     assert report["attempts"] == len(contents) + sum(c.startswith("flaky") for c in contents)
-    failed = sum(c.split()[0] in ("reject", "malformed") for c in contents)
+    failed = sum(c.split()[0] in ("reject", "malformed", "surrogate") for c in contents)
     assert report["transport_failures"] == failed
     if exit_code == 4:  # every request was answered 400 with a label word in its body
         assert report["report"]["accuracy"] == 0.0
@@ -570,6 +574,10 @@ def test_score_reproduces_eval_report(tmp_path, contents, exit_code):
          "audit.jsonl:1: transport_error is not a string: 5"),
         ('{"org_id": 0, "raw": "x"}\n', "audit.jsonl:1: org_id is not a string: 0"),
         ('{"org_id": ["org0"], "raw": "x"}\n', "audit.jsonl:1: org_id is not a string: ['org0']"),
+        ('{"org_id": "org0", "raw": "x \\ud800"}\n', "audit.jsonl:1: raw holds a lone surrogate"),
+        ('{"org_id": "org0\\ud800", "raw": "x"}\n', "audit.jsonl:1: org_id holds a lone surrogate"),
+        ('{"org_id": "org0", "raw": null, "transport_error": "x \\ud800"}\n',
+         "audit.jsonl:1: transport_error holds a lone surrogate"),
         # Only a last line without its newline can be a torn write.
         ('{"org_id": "org0", "raw": "x"}\n{"org_id": "org1", "ra\n{"org_id": "org2"}',
          "audit.jsonl:2: not JSON"),
@@ -877,6 +885,29 @@ def test_features_creates_its_out_dir(tmp_path):
     new_dir = tmp_path / "new" / "profiles"
     run_ok("features", "--ingested", str(tmp_path / "out" / "ingested"), "--out", str(new_dir))
     assert (new_dir / "profiles.jsonl").exists()
+
+
+@pytest.mark.parametrize("value,valid", [
+    ("2025-06-11", True),
+    ("20250611", False),
+    ("2025W241", False),
+    ("2025-W24-1", False),
+    ("", False),
+])
+def test_reference_date_forms_do_not_depend_on_the_interpreter(tmp_path, value, valid):
+    # date.fromisoformat reads the basic and week forms from Python 3.11 on.
+    if valid:
+        SynthConfig(reference_date=value).validate()
+    else:
+        with pytest.raises(ValueError, match=f"reference_date must be an ISO date, got {value!r}"):
+            SynthConfig(reference_date=value).validate()
+    run_ok("synth", "--synth-config", str(CONFIG_DIR / "synth_threshold.json"),
+           "--out", str(tmp_path / "data"), "--n", "10", "--seed", "4")
+    run_ok("ingest", "--data-dir", str(tmp_path / "data"), "--out", str(tmp_path / "out"))
+    result = invoke("features", "--out", str(tmp_path / "out"), "--reference-date", value)
+    assert result.exit_code == (0 if valid else 2), result.output
+    if not valid:
+        assert f"not an ISO-8601 date: {value!r}" in result.output
 
 
 @pytest.mark.parametrize("field,value,shown", [

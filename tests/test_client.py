@@ -453,14 +453,16 @@ def test_endpoint_rejects_non_finite_or_out_of_range_settings(field, value):
 
 # ------------------------------------------------------ live == offline
 
-ANSWER_KINDS = ("primary", "fallback", "unparseable", "4xx", "flaky", "malformed", "flaky-malformed")
+ANSWER_KINDS = ("primary", "fallback", "unparseable", "4xx", "flaky", "malformed", "flaky-malformed",
+                "surrogate")
 
 
 def scripted_transport(answers):
     """Answers "company <i>" as ``answers[i] = (kind, label word, ...)`` says.
 
-    A 4xx body carries the label word; a flaky record gets a 503 first, and a
-    flaky-malformed one a 503 and then a 200 that is not JSON.
+    A 4xx body carries the label word; a flaky record gets a 503 first, a
+    flaky-malformed one a 503 and then a 200 that is not JSON, and a surrogate
+    one an answer holding a lone surrogate.
     """
     lock = threading.Lock()
     seen = set()
@@ -478,6 +480,8 @@ def scripted_transport(answers):
             return 400, json.dumps({"error": {"message": f"{word.lower()} request"}})
         if kind == "malformed":
             return 200, "<html>oops</html>"
+        if kind == "surrogate":
+            return 200, completion_body(f"Prediction: {word} \ud800")
         with lock:
             first = index not in seen
             seen.add(index)
@@ -518,7 +522,7 @@ def test_score_audit_log_reproduces_live_result(answers, max_in_flight):
         rescored = score_audit_log(audit_path, labels)
 
     failed = [i for i, (kind, _, _) in enumerate(answers)
-              if kind in ("4xx", "malformed", "flaky-malformed")]
+              if kind in ("4xx", "malformed", "flaky-malformed", "surrogate")]
     assert live.transport_failures == len(failed)
     assert all(live.outcomes[i].response.label is None for i in failed)
     assert [o.attempts for o in live.outcomes] == [
@@ -607,15 +611,15 @@ def test_a_last_line_cut_inside_a_character_counts_as_missing(tmp_path):
 
 def test_audit_line_schema(tmp_path):
     answers = [("primary", "Successful"), ("4xx", "Successful"), ("malformed", ""),
-               ("flaky-malformed", "")]
+               ("flaky-malformed", ""), ("surrogate", "Successful")]
     audit_path = tmp_path / "audit.jsonl"
-    run_eval(ENDPOINT, make_records(4), transport=scripted_transport(answers),
+    run_eval(ENDPOINT, make_records(5), transport=scripted_transport(answers),
              audit_path=audit_path, sleep=lambda s: None)
     lines = {
         line["org_id"]: line
         for line in map(json.loads, audit_path.read_text().splitlines())
     }
-    assert set(lines) == {"c0", "c1", "c2", "c3"}
+    assert set(lines) == {"c0", "c1", "c2", "c3", "c4"}
     assert lines["c0"]["raw"].startswith("Prediction: Successful")
     assert lines["c0"]["transport_error"] is None
     assert lines["c1"]["raw"] is None
@@ -628,10 +632,13 @@ def test_audit_line_schema(tmp_path):
     # A protocol error after a retry counts every request it took.
     assert lines["c3"]["raw"] is None
     assert "malformed chat-completion response" in lines["c3"]["transport_error"]
+    # Content that UTF-8 cannot hold is a malformed answer, and is not retried.
+    assert lines["c4"]["raw"] is None
+    assert lines["c4"]["transport_error"].startswith("completion content holds a lone surrogate")
     assert {org: line["attempts"] for org, line in lines.items()} == {
-        "c0": 1, "c1": 1, "c2": 1, "c3": 2
+        "c0": 1, "c1": 1, "c2": 1, "c3": 2, "c4": 1
     }
-    rescored = score_audit_log(audit_path, {f"c{i}": i % 2 for i in range(4)})
+    rescored = score_audit_log(audit_path, {f"c{i}": i % 2 for i in range(5)})
     assert [o.attempts for o in rescored.outcomes if o.org_id == "c3"] == [2]
 
 
