@@ -460,6 +460,9 @@ def train_baseline_cmd(ctx, splits_dir, model_dir, threshold, **baseline):
         {
             "test": dataclasses.asdict(metrics_report),
             "config": dataclasses.asdict(model_config),
+            "feature_gain": dict(
+                zip(features_mod.FEATURE_COLUMNS, gbdt_mod.gain_shares(model))
+            ),
             "final_train_logloss": model.train_loss[-1] if model.train_loss else None,
             "fit_s": ctx.obj["timings"]["fit_s"],
             "train_loss": model.train_loss,

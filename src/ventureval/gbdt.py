@@ -1,17 +1,18 @@
 """Gradient-boosted decision trees for binary classification.
 
 Second-order boosting on logistic loss: per round, gradients g = p - y and
-hessians h = p(1-p) feed an exact greedy split search over sorted unique
-feature values; leaf weights are the damped Newton step -lr * G / (H + lambda).
-Splits must clear a positive gain after the gamma penalty and respect the
-minimum child hessian mass. Everything is deterministic: ties resolve to the
-lowest feature index, then the lowest threshold.
+hessians h = p(1-p) feed a histogram split search; leaf weights are the
+damped Newton step -lr * G / (H + lambda). Splits must clear a positive gain
+after the gamma penalty and give each child the minimum hessian mass. Ties
+resolve to the lowest feature index, then the lowest threshold.
 
-The search works on presorted columns (the exact greedy method of XGBoost,
-Chen & Guestrin 2016): each feature is stable-argsorted once per fit, and
-every node carries its rows in (value, row) order per feature. A split
-hands each child a stable partition of those orders, so no node sorts.
-The split scan itself is ventureval._kernels.scan_split.
+Each feature is binned once per fit (XGBoost's histogram method, Chen &
+Guestrin 2016): one bin per distinct value when it has at most MAX_BINS,
+else runs of sorted distinct values, a value with k training rows at or
+below it joining group (k - 1) * MAX_BINS // rows. A bin's threshold is its
+largest training value. Only the root's and the smaller child's histograms
+are built from rows, the larger child's is the parent's minus the smaller's
+(LightGBM, Ke et al. 2017). The scan is ventureval._kernels.scan_split.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ import numpy as np
 from . import _kernels
 from .config import GbdtConfig
 from .errors import DataError
+from .features import check_count, check_number
 from .ingest import output_file
 
 MODEL_FORMAT_VERSION = 1
+
+MAX_BINS = 256
 
 _PROB_EPS = 1e-15
 
@@ -53,6 +57,7 @@ class GbdtModel:
     config: GbdtConfig
     n_features: int
     train_loss: list = field(default_factory=list, repr=False)
+    feature_gain: list = field(default_factory=list, repr=False)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -73,57 +78,62 @@ def _leaf_weight(g_sum: float, h_sum: float, cfg: GbdtConfig) -> float:
     return -cfg.learning_rate * g_sum / (h_sum + cfg.reg_lambda)
 
 
-def _best_split(columns, g, h, sorted_rows, cfg):
-    """Scan all features for the highest-gain split of this node's rows.
-
-    ``sorted_rows[f]`` holds the node's rows in (value, row) order of
-    feature ``f``. Returns ``(feature, threshold)`` or None. Strictly-greater
-    comparisons keep the lowest feature index / lowest threshold on ties.
-    """
-    best_gain = 0.0
-    best = None
-    for feature, (column, order) in enumerate(zip(columns, sorted_rows)):
-        sorted_values = column[order]
-        gain, cut = _kernels.scan_split(
-            sorted_values,
-            g[order],
-            h[order],
-            cfg.reg_lambda,
-            cfg.gamma,
-            cfg.min_child_weight,
-        )
-        if cut >= 0 and gain > best_gain:
-            best_gain = gain
-            best = (feature, float(sorted_values[cut]))
-    return best
+def _bin_features(X):
+    """``(codes, thresholds)``: ``codes[r, f]`` is row ``r``'s bin of feature
+    ``f`` plus ``f * MAX_BINS``, so one ``np.bincount`` over ``codes[rows]``
+    fills a ``(features, MAX_BINS)`` block; ``thresholds[f, b]`` is bin
+    ``b``'s threshold (``inf`` past the last bin)."""
+    codes = np.empty(X.shape, dtype=np.intp)
+    thresholds = np.full((X.shape[1], MAX_BINS), np.inf)
+    for f, column in enumerate(X.T):
+        values, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
+        if values.shape[0] > MAX_BINS:
+            group = (np.cumsum(counts) - 1) * MAX_BINS // X.shape[0]
+            ends = np.append(np.flatnonzero(group[:-1] != group[1:]), values.shape[0] - 1)
+            values, inverse = values[ends], np.searchsorted(ends, inverse)
+        thresholds[f, : values.shape[0]] = values
+        codes[:, f] = inverse + f * MAX_BINS
+    return codes, thresholds
 
 
-def _build_node(columns, g, h, rows, sorted_rows, depth, cfg, margin_out) -> TreeNode:
-    """Grow the subtree over ``rows`` (ascending).
+def _histogram(codes, g, h, rows):
+    """Row counts, gradient sums and hessian sums of ``rows`` per (feature,
+    bin), each bin summed in row order."""
+    cells, d = codes[rows].ravel(), codes.shape[1]
+    return tuple(
+        np.bincount(cells, weights, d * MAX_BINS).reshape(d, MAX_BINS)
+        for weights in (None, np.repeat(g[rows], d), np.repeat(h[rows], d))
+    )
 
-    Children inherit stable partitions of the parent's per-feature orders,
-    so no node re-sorts. Children at ``max_depth`` never scan and get none.
-    """
-    split = _best_split(columns, g, h, sorted_rows, cfg) if depth < cfg.max_depth else None
-    if split is None:
+
+def _build_node(tree, rows, hist, depth) -> TreeNode:
+    """Grow the subtree over ``rows`` (ascending) with histogram ``hist``,
+    None at ``max_depth``. ``tree`` is what all its nodes share: ``(codes,
+    thresholds, g, h, cfg, gains, margin_out)``."""
+    codes, thresholds, g, h, cfg, gains, margin_out = tree
+    gain, index = (
+        _kernels.scan_split(*hist, cfg.reg_lambda, cfg.gamma, cfg.min_child_weight)
+        if hist else (0.0, -1)
+    )
+    if not gain > 0.0:
         weight = _leaf_weight(float(g[rows].sum()), float(h[rows].sum()), cfg)
         margin_out[rows] += weight
         return TreeNode(weight=weight)
-    feature, threshold = split
-    goes_left = columns[feature][rows] <= threshold
-    left_sorted, right_sorted = [], []
-    if depth + 1 < cfg.max_depth:
-        for order in sorted_rows:
-            mask = columns[feature][order] <= threshold
-            left_sorted.append(order[mask])
-            right_sorted.append(order[~mask])
-    left = _build_node(
-        columns, g, h, rows[goes_left], left_sorted, depth + 1, cfg, margin_out
+    feature = index // MAX_BINS
+    gains[feature] += gain
+    goes_left = codes[rows, feature] <= index
+    children = [rows[goes_left], rows[~goes_left]]
+    hists = [None, None]
+    if depth + 1 < cfg.max_depth:  # the smaller child from rows, the larger by subtraction
+        small = 0 if children[0].shape[0] <= children[1].shape[0] else 1
+        hists[small] = _histogram(codes, g, h, children[small])
+        hists[1 - small] = tuple(p - s for p, s in zip(hist, hists[small]))
+    return TreeNode(
+        feature=feature,
+        threshold=float(thresholds.flat[index]),
+        left=_build_node(tree, children[0], hists[0], depth + 1),
+        right=_build_node(tree, children[1], hists[1], depth + 1),
     )
-    right = _build_node(
-        columns, g, h, rows[~goes_left], right_sorted, depth + 1, cfg, margin_out
-    )
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
 def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
@@ -132,11 +142,11 @@ def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     Requires at least two samples, both classes present (DataError
     otherwise) and fully finite features. The base score is the log-odds of
     the training prior; each round adds one tree fitted to the current
-    gradients/hessians. The per-round training log-loss is recorded on the
-    returned model.
+    gradients/hessians. The per-round training log-loss and each feature's
+    total split gain are recorded on the returned model.
     """
     config.validate()
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -155,8 +165,8 @@ def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     base_score = math.log(prior / (1.0 - prior))
     margin = np.full(X.shape[0], base_score, dtype=np.float64)
     rows = np.arange(X.shape[0])
-    columns = [np.ascontiguousarray(X[:, f]) for f in range(X.shape[1])]
-    sorted_rows = [np.argsort(column, kind="stable") for column in columns]
+    codes, thresholds = _bin_features(X)
+    gains = [0.0] * X.shape[1]
 
     trees = []
     losses = []
@@ -165,7 +175,8 @@ def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
         g = p - y
         h = p * (1.0 - p)
         tree_margin = np.zeros(X.shape[0], dtype=np.float64)
-        trees.append(_build_node(columns, g, h, rows, sorted_rows, 0, config, tree_margin))
+        tree = (codes, thresholds, g, h, config, gains, tree_margin)
+        trees.append(_build_node(tree, rows, _histogram(codes, g, h, rows), 0))
         margin += tree_margin
         losses.append(log_loss(y, _sigmoid(margin)))
 
@@ -175,6 +186,7 @@ def fit(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
         config=config,
         n_features=X.shape[1],
         train_loss=losses,
+        feature_gain=gains,
     )
 
 
@@ -222,14 +234,38 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(obj: dict) -> TreeNode:
+# The value rule of each GbdtConfig field in a saved model.
+_CONFIG_RULES = {
+    "n_rounds": check_count,
+    "max_depth": check_count,
+    "learning_rate": check_number,
+    "reg_lambda": check_number,
+    "gamma": check_number,
+    "min_child_weight": check_number,
+}
+
+
+def _object(name: str, value) -> dict:
+    if type(value) is not dict:
+        raise ValueError(f"{name} is not an object: {value!r}")
+    return value
+
+
+def _node_from_dict(obj, name: str, n_features: int) -> TreeNode:
+    _object(name, obj)
     if "weight" in obj:
+        check_number(f"{name}.weight", obj["weight"])
         return TreeNode(weight=float(obj["weight"]))
+    feature, threshold = obj.get("feature"), obj.get("threshold")
+    check_count(f"{name}.feature", feature)
+    if feature >= n_features:
+        raise ValueError(f"{name}.feature is not below n_features {n_features}: {feature!r}")
+    check_number(f"{name}.threshold", threshold)
     return TreeNode(
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
-        left=_node_from_dict(obj["left"]),
-        right=_node_from_dict(obj["right"]),
+        feature=feature,
+        threshold=float(threshold),
+        left=_node_from_dict(obj.get("left"), f"{name}.left", n_features),
+        right=_node_from_dict(obj.get("right"), f"{name}.right", n_features),
     )
 
 
@@ -246,18 +282,44 @@ def to_json(model: GbdtModel) -> str:
 
 
 def from_json(text: str) -> GbdtModel:
-    """Inverse of ``to_json``. A ``config.seed``, which older models carry
-    although training never used it, is dropped."""
-    obj = json.loads(text)
-    if obj.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format: {obj.get('format_version')!r}")
-    config = {k: v for k, v in obj["config"].items() if k != "seed"}
+    """Inverse of ``to_json``, or ValueError naming the first bad field.
+
+    Numbers must be finite, counts non-negative integers, a split's
+    ``feature`` below ``n_features``, and the config must validate. A
+    ``config.seed``, which older models carry although training never used
+    it, is dropped.
+    """
+    obj = _object("model", json.loads(text))
+    version = obj.get("format_version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format: {version!r}")
+    check_number("base_score", obj.get("base_score"))
+    n_features = obj.get("n_features")
+    check_count("n_features", n_features)
+    config = _object("config", obj.get("config"))
+    unknown = sorted(config.keys() - _CONFIG_RULES.keys() - {"seed"})
+    if unknown:
+        raise ValueError(f"config has unknown fields: {unknown}")
+    for key, rule in _CONFIG_RULES.items():
+        rule(f"config.{key}", config.get(key))
+    config = GbdtConfig(**{key: config[key] for key in _CONFIG_RULES})
+    config.validate()
+    trees = obj.get("trees")
+    if type(trees) is not list:
+        raise ValueError(f"trees is not a list: {trees!r}")
     return GbdtModel(
         base_score=float(obj["base_score"]),
-        trees=[_node_from_dict(t) for t in obj["trees"]],
-        config=GbdtConfig(**config),
-        n_features=int(obj["n_features"]),
+        trees=[_node_from_dict(t, f"trees[{i}]", n_features) for i, t in enumerate(trees)],
+        config=config,
+        n_features=n_features,
     )
+
+
+def gain_shares(model: GbdtModel) -> list:
+    """Each feature's share of the split gain ``fit`` recorded: non-negative
+    and summing to 1, or all 0 when no tree split."""
+    total = sum(model.feature_gain)
+    return [gain / total if total > 0.0 else 0.0 for gain in model.feature_gain]
 
 
 def save_model(model: GbdtModel, path) -> None:

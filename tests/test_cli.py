@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from conftest import CONFIG_DIR, GOLDEN_PROFILE
 from ventureval.cli import main
 from ventureval.config import EndpointConfig, GbdtConfig, RunConfig, derive_seed
-from ventureval.features import write_profiles_jsonl
+from ventureval.features import FEATURE_COLUMNS, write_profiles_jsonl
 from ventureval.prompts import (
     ChatMessage, ChatRecord, emit_jsonl, render_prompt, template_tokens, training_manifest,
 )
-from ventureval.synth import SynthConfig
+from ventureval.synth import SynthConfig, load_config
 from test_cli_fuzz import assert_exit_0_or_3, mutated
 
 runner = CliRunner()
@@ -364,6 +364,39 @@ def test_train_baseline_does_not_need_a_val_split(tmp_path):
     assert len(report["train_loss"]) == report["config"]["n_rounds"]
     assert report["train_loss"][-1] == report["final_train_logloss"]
     assert type(report["fit_s"]) is float and report["fit_s"] >= 0
+
+
+def _feature_gain_after_pipeline(tmp_path, config_name):
+    """report.json's feature_gain after synth (20k companies, seed 7) through
+    train-baseline, all through the CLI."""
+    config = CONFIG_DIR / config_name
+    data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+    run_ok("synth", "--synth-config", str(config), "--out", str(data_dir),
+           "--n", "20000", "--seed", "7")
+    run_ok("ingest", "--data-dir", str(data_dir), "--out", str(out_dir))
+    run_ok("features", "--out", str(out_dir))
+    run_ok("split", "--profiles", str(out_dir / "profiles.jsonl"),
+           "--out-dir", str(out_dir / "splits"), "--seed", "7")
+    run_ok("train-baseline", "--splits", str(out_dir / "splits"),
+           "--out", str(out_dir / "baseline"))
+    report = json.loads((out_dir / "baseline" / "report.json").read_text())
+    return report["feature_gain"], load_config(config).beta
+
+
+def test_feature_gain_ranks_follow_the_generator_beta(tmp_path):
+    gain, beta = _feature_gain_after_pipeline(tmp_path, "synth_logistic.json")
+    assert list(gain) == list(FEATURE_COLUMNS)
+    by_gain = sorted(FEATURE_COLUMNS, key=lambda name: -gain[name])
+    by_beta = sorted(FEATURE_COLUMNS, key=lambda name: -abs(beta[FEATURE_COLUMNS.index(name)]))
+    assert by_gain == by_beta
+
+
+def test_zero_beta_features_hold_under_one_percent_of_the_gain(tmp_path):
+    gain, beta = _feature_gain_after_pipeline(tmp_path, "synth_threshold.json")
+    zero = [name for name, b in zip(FEATURE_COLUMNS, beta) if b == 0.0]
+    assert len(zero) == 3
+    assert all(gain[name] < 0.01 for name in zero), gain
+    assert abs(sum(gain.values()) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("threshold", ["0", "1"])

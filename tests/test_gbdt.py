@@ -6,9 +6,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ventureval import gbdt
 from ventureval.errors import DataError
-from ventureval.gbdt import GbdtConfig, fit, from_json, predict_many, predict_proba_many, to_json
+from ventureval.gbdt import (
+    GbdtConfig, fit, from_json, gain_shares, predict_many, predict_proba_many, to_json,
+)
 
 HAND_X = np.array([[1.0], [2.0], [3.0], [4.0]])
 HAND_Y = np.array([1, 1, 0, 0])
@@ -208,3 +213,98 @@ def test_model_with_a_seed_loads_and_saves_without_it():
 def test_model_format_version_checked():
     with pytest.raises(ValueError):
         from_json('{"format_version": 99}')
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("base_score", "nan", "^base_score is not a finite number: 'nan'$"),
+        ("threshold", True, r"^trees\[0\]\.threshold is not a finite number: True$"),
+        ("feature", 9, r"^trees\[0\]\.feature is not below n_features 1: 9$"),
+    ],
+)
+def test_malformed_model_field_is_named(field, value, message):
+    obj = json.loads(HAND_MODEL_JSON)
+    if field == "base_score":
+        obj["base_score"] = value
+    else:
+        obj["trees"][0][field] = value
+    with pytest.raises(ValueError, match=message):
+        from_json(json.dumps(obj))
+
+
+# ------------------------------------------------------------------ binning
+
+
+@st.composite
+def feature_matrices(draw):
+    """Columns with few or many distinct values, heavy ties and signed zeros."""
+    n = draw(st.integers(1, 1500))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        levels = draw(st.sampled_from([1, 2, 7, 256, 257, 400, 5000]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=levels) * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+        pool[0] = draw(st.sampled_from([0.0, -0.0]))
+        columns.append(rng.choice(pool, size=n))
+    return np.column_stack(columns)
+
+
+@settings(max_examples=120, deadline=None)
+@given(feature_matrices())
+def test_binning_properties(X):
+    codes, thresholds = gbdt._bin_features(X)
+    width = thresholds.shape[1]
+    assert codes.shape == X.shape and thresholds.shape[0] == X.shape[1]
+    for f in range(X.shape[1]):
+        column = X[:, f]
+        bins = codes[:, f] - f * width
+        used = thresholds[f][np.isfinite(thresholds[f])]
+        assert 1 <= used.shape[0] <= gbdt.MAX_BINS
+        assert set(bins.tolist()) == set(range(used.shape[0]))  # every bin holds rows
+        distinct = np.unique(column)
+        if distinct.shape[0] <= gbdt.MAX_BINS:
+            assert used.tolist() == distinct.tolist()
+        assert np.all(used[:-1] < used[1:])
+        assert np.isin(used, column).all()
+        assert np.all(column <= used[bins])
+        assert not np.any(column[bins > 0] <= used[bins[bins > 0] - 1])
+
+
+def test_many_valued_feature_bins_hold_about_equal_rows():
+    X = np.arange(10_000, dtype=np.float64)[:, None]
+    codes, thresholds = gbdt._bin_features(X)
+    assert thresholds.shape == (1, gbdt.MAX_BINS)
+    sizes = np.bincount(codes[:, 0])
+    assert sizes.min() >= 39 and sizes.max() <= 40  # 10,000 / 256 = 39.06
+
+
+# ------------------------------------------------------------ feature gain
+
+
+def test_hand_fixture_gain_is_the_split_gain():
+    # G_L = -1, H_L = 0.5, G_R = 1, H_R = 0.5, G = 0:
+    # 0.5 * (1 / 1.5 + 1 / 1.5 - 0) = 2/3
+    model = fit(HAND_X, HAND_Y, HAND_CONFIG)
+    assert abs(model.feature_gain[0] - 2.0 / 3.0) < 1e-12
+    assert gain_shares(model) == [1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.5, 5.0]),
+)
+def test_gain_shares_are_a_distribution(n, d, seed, gamma):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+    y = (rng.random(n) < 0.5).astype(np.float64)
+    y[0], y[1] = 0.0, 1.0
+    model = fit(X, y, GbdtConfig(n_rounds=3, max_depth=2, gamma=gamma, min_child_weight=0.0))
+    shares = gain_shares(model)
+    assert len(shares) == d and all(share >= 0.0 for share in shares)
+    splits = any(not tree.is_leaf for tree in model.trees)
+    assert abs(sum(shares) - 1.0) < 1e-12 if splits else shares == [0.0] * d
