@@ -10,7 +10,6 @@ Live and offline runs build their report through the same scorer.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -22,7 +21,7 @@ from . import metrics
 from ._retry import Sender, post_json, run_with_retries
 from .config import EndpointConfig
 from .errors import DataError, TransportError
-from .features import check_count, check_number, check_text, encode_json, read_jsonl
+from .features import check_count, check_number, check_text, decode_json, encode_json, read_jsonl
 from .prompts import message_dicts
 
 PARSED = "parsed"
@@ -162,7 +161,7 @@ def chat_complete(
     body, attempt_log = run_with_retries(send, endpoint.max_retries, sleep=sleep, rng=rng)
     latency_ms = (time.monotonic() - started) * 1000.0
     try:
-        obj = json.loads(body)
+        obj = decode_json(body)
         content = obj["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"malformed chat-completion response: {exc}", attempts=attempt_log)

@@ -329,6 +329,15 @@ def write_profiles_csv(profiles, path) -> None:
     write_csv(path, PROFILE_FIELDS, profiles)
 
 
+def decode_json(text):
+    """``json.loads(text)``, with nesting too deep for the decoder raised as
+    the ValueError that any other malformed JSON raises."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nesting too deep") from None
+
+
 # json.dumps(obj, ensure_ascii=False), without the new encoder that
 # json.dumps builds for every call that passes an argument.
 encode_json = json.JSONEncoder(ensure_ascii=False).encode
@@ -363,7 +372,7 @@ def read_jsonl(path, build, torn_tail=False) -> list:
             reason = undecodable(line)
             if reason is None:
                 try:
-                    obj = json.loads(line)
+                    obj = decode_json(line)
                 except ValueError as exc:
                     reason = f"not JSON: {exc}"
             if reason:

@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .config import GbdtConfig
 from .errors import DataError
-from .features import check_count, check_number
+from .features import check_count, check_number, decode_json
 from .ingest import output_file
 
 MODEL_FORMAT_VERSION = 1
@@ -289,7 +289,7 @@ def from_json(text: str) -> GbdtModel:
     ``config.seed``, which older models carry although training never used
     it, is dropped.
     """
-    obj = _object("model", json.loads(text))
+    obj = _object("model", decode_json(text))
     version = obj.get("format_version")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format: {version!r}")
@@ -307,9 +307,15 @@ def from_json(text: str) -> GbdtModel:
     trees = obj.get("trees")
     if type(trees) is not list:
         raise ValueError(f"trees is not a list: {trees!r}")
+    try:
+        # A decoder whose own depth limit is higher than Python's (3.12's)
+        # can hand over a tree that this walk cannot descend.
+        trees = [_node_from_dict(t, f"trees[{i}]", n_features) for i, t in enumerate(trees)]
+    except RecursionError:
+        raise ValueError("trees nest too deep") from None
     return GbdtModel(
         base_score=float(obj["base_score"]),
-        trees=[_node_from_dict(t, f"trees[{i}]", n_features) for i, t in enumerate(trees)],
+        trees=trees,
         config=config,
         n_features=n_features,
     )

@@ -1,24 +1,10 @@
-"""Classification metrics and the greedy embedding-match text score.
+"""Binary classification metrics.
 
-The text score consumes per-token embeddings that the caller supplies; no
-encoder or embedding provider lives in this package. Precision averages
-each candidate token's best cosine match against the reference, recall
-mirrors it, and F1 is their harmonic mean. Zero-valued denominators follow
-the usual 0-convention throughout.
-
-NumPy is imported where the text score builds arrays, so the
-classification metrics, and with them ``eval-endpoint`` and ``score``,
-never load it.
+The module imports nothing outside the standard library: ``eval-endpoint``
+and ``score`` load it, and they never load NumPy.
 """
 
-from __future__ import annotations
-
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -100,118 +86,3 @@ def report(cm: ConfusionMatrix) -> ClassificationReport:
         support_positive=cm.tp + cm.fn,
         support_negative=cm.tn + cm.fp,
     )
-
-
-@dataclass
-class TokenEmbeddings:
-    """Ordered tokens with one embedding row per token, plus optional idf."""
-
-    tokens: list
-    vectors: np.ndarray
-    idf: Optional[np.ndarray] = None
-
-    def validate(self) -> None:
-        import numpy as np
-
-        if not self.tokens:
-            raise ValueError("token list is empty")
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[0] != len(self.tokens):
-            raise ValueError(
-                f"vector matrix {vectors.shape} does not match {len(self.tokens)} tokens"
-            )
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("embedding matrix contains non-finite values")
-        if self.idf is not None and len(self.idf) != len(self.tokens):
-            raise ValueError("idf weights do not match token count")
-
-
-@dataclass(frozen=True)
-class TextScore:
-    precision: float
-    recall: float
-    f1: float
-    idf_used: bool
-
-
-def _normalized(emb: TokenEmbeddings) -> np.ndarray:
-    import numpy as np
-
-    matrix = np.asarray(emb.vectors, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("zero-norm embedding vector")
-    return matrix / norms[:, None]
-
-
-def _weighted_mean(values: np.ndarray, weights: Optional[np.ndarray]) -> float:
-    import numpy as np
-
-    if weights is None:
-        return float(values.mean())
-    weights = np.asarray(weights, dtype=np.float64)
-    total = weights.sum()
-    if total <= 0:
-        return float(values.mean())
-    return float((values * weights).sum() / total)
-
-
-def greedy_match_score(candidate: TokenEmbeddings, reference: TokenEmbeddings) -> TextScore:
-    """Greedy best-match similarity between two embedded token sequences.
-
-    ``S[i, j]`` is the cosine similarity of candidate token i and reference
-    token j. Precision averages row maxima (idf-weighted when the candidate
-    carries weights), recall averages column maxima (reference weights),
-    and f1 = 2PR/(P+R) with 0 when P+R = 0.
-    """
-    candidate.validate()
-    reference.validate()
-    cand = _normalized(candidate)
-    ref = _normalized(reference)
-    if cand.shape[1] != ref.shape[1]:
-        raise ValueError(
-            f"embedding dimension mismatch: {cand.shape[1]} vs {ref.shape[1]}"
-        )
-    similarity = cand @ ref.T
-    precision = _weighted_mean(similarity.max(axis=1), candidate.idf)
-    recall = _weighted_mean(similarity.max(axis=0), reference.idf)
-    f1 = (2 * precision * recall / (precision + recall)) if (precision + recall) > 0 else 0.0
-    return TextScore(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        idf_used=candidate.idf is not None or reference.idf is not None,
-    )
-
-
-@dataclass(frozen=True)
-class IdfTable:
-    """Add-one-smoothed inverse document frequencies over a reference corpus."""
-
-    weights: dict
-    n_docs: int
-
-    def weight(self, token: str) -> float:
-        # Unseen tokens take the df=0 smoothed value.
-        return self.weights.get(token, math.log(self.n_docs + 1))
-
-
-def idf_table(reference_token_lists) -> IdfTable:
-    n_docs = len(reference_token_lists)
-    df: dict = {}
-    for tokens in reference_token_lists:
-        for token in set(tokens):
-            df[token] = df.get(token, 0) + 1
-    weights = {
-        token: math.log((n_docs + 1) / (count + 1)) for token, count in df.items()
-    }
-    return IdfTable(weights=weights, n_docs=n_docs)
-
-
-def apply_idf(emb: TokenEmbeddings, table: IdfTable) -> TokenEmbeddings:
-    """Attach idf weights to an embedding set."""
-    import numpy as np
-
-    weights = np.array([table.weight(t) for t in emb.tokens], dtype=np.float64)
-    return TokenEmbeddings(tokens=emb.tokens, vectors=emb.vectors, idf=weights)
-

@@ -151,14 +151,6 @@ def format_age(age_years: float) -> str:
     return f"{age_years:.1f} years"
 
 
-def render_profile_block(
-    profile: CompanyProfile, include_description: bool = True, leakage_guard: bool = True
-) -> str:
-    """Field-per-line profile block, byte-deterministic for a given profile."""
-    return _render_block(profile, _description(profile, include_description, leakage_guard),
-                         leakage_guard)
-
-
 def _description(profile: CompanyProfile, include_description: bool, leakage_guard: bool) -> str:
     return sanitize_text(profile.description, leakage_guard) if include_description else ""
 

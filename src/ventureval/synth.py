@@ -15,7 +15,6 @@ the config validator enforces this.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import ingest
 from .config import DEFAULT_REFERENCE_DATE
-from .features import DAYS_PER_YEAR, FEATURE_COLUMNS, compute_age, is_number, write_jsonl
+from .features import DAYS_PER_YEAR, FEATURE_COLUMNS, compute_age, decode_json, is_number, write_jsonl
 
 NOISE_MODES = ("threshold", "logistic")
 
@@ -190,7 +189,7 @@ class SynthConfig:
 
 def load_config(path) -> SynthConfig:
     with open(path, encoding="utf-8") as fh:
-        return SynthConfig.from_dict(json.load(fh))
+        return SynthConfig.from_dict(decode_json(fh.read()))
 
 
 def standardization_moments(config: SynthConfig):

@@ -19,6 +19,10 @@ from ventureval.ingest import (
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
+# JSON nested deeper than the decoder's recursion limit on any supported
+# Python; too deep for json.dumps too, so tests splice it in as text.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 # Pinned fixture behind the prompt golden files. Do not edit casually:
 # changing any field invalidates tests/golden/*.
 GOLDEN_PROFILE = CompanyProfile(

@@ -30,7 +30,7 @@ from ventureval.ingest import (
     build_store,
     load_directory,
 )
-from ventureval.metrics import TokenEmbeddings, confusion, greedy_match_score, report
+from ventureval.metrics import confusion, report
 from ventureval.prompts import (
     IM_END,
     IM_START,
@@ -97,48 +97,6 @@ def test_c02_confusion_fixture():
     assert r.f1_positive == 2 / 3
     assert r.accuracy == 0.5
     ok("C2", "precision = recall = f1 = 2/3, accuracy = 0.5, exact")
-
-
-# --------------------------------------------------------------------- C3
-
-
-def _emb(vectors):
-    vectors = np.asarray(vectors, dtype=np.float64)
-    return TokenEmbeddings(
-        tokens=[f"t{i}" for i in range(vectors.shape[0])], vectors=vectors
-    )
-
-
-def test_c03_embedding_score_identities():
-    rng = np.random.default_rng(303)
-    identical = _emb(rng.normal(size=(9, 12)))
-    s = greedy_match_score(identical, identical)
-    assert abs(s.precision - 1.0) < 1e-9
-    assert abs(s.recall - 1.0) < 1e-9
-    assert abs(s.f1 - 1.0) < 1e-9
-
-    orthogonal = greedy_match_score(
-        _emb([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), _emb([[0.0, 0.0, 1.0]])
-    )
-    assert orthogonal.precision == 0.0
-    assert orthogonal.recall == 0.0
-    assert orthogonal.f1 == 0.0
-
-    hand = greedy_match_score(
-        _emb([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-        _emb([[1.0, 0.0, 0.0], [0.0, 0.5, math.sqrt(0.75)]]),
-    )
-    assert abs(hand.precision - 0.75) < 1e-9
-    assert abs(hand.recall - 0.75) < 1e-9
-    assert abs(hand.f1 - 0.75) < 1e-9
-
-    for _ in range(100):
-        a = _emb(rng.normal(size=(int(rng.integers(1, 8)), 6)))
-        b = _emb(rng.normal(size=(int(rng.integers(1, 8)), 6)))
-        assert abs(
-            greedy_match_score(a, b).precision - greedy_match_score(b, a).recall
-        ) < 1e-12
-    ok("C3", "identity/orthogonal/hand fixtures and 100-pair symmetry hold")
 
 
 # --------------------------------------------------------------------- C4

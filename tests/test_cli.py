@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_DIR, GOLDEN_PROFILE
+from conftest import CONFIG_DIR, DEEP_JSON, GOLDEN_PROFILE
 from ventureval.cli import main
 from ventureval.config import EndpointConfig, GbdtConfig, RunConfig, derive_seed
 from ventureval.features import FEATURE_COLUMNS, write_profiles_jsonl
@@ -667,7 +667,8 @@ def record_stage_args(stage, bad, tmp_path):
     + [(stage, RECORD_LINE, record_stage_args, "messages") for stage in ("eval-endpoint", "score")]
     + [("score", AUDIT_LINE, audit_stage_args, "org_id")],
 )
-@pytest.mark.parametrize("fault", ["missing key", "not JSON", "too many digits", "not an object", "not UTF-8"])
+@pytest.mark.parametrize("fault", ["missing key", "not JSON", "too many digits", "not an object", "not UTF-8",
+                                   "too deep"])
 def test_malformed_jsonl_input_exits_with_data_error(tmp_path, stage, good, build_args, missing, fault):
     bad_line, reason = {
         "missing key": (json.dumps({k: v for k, v in good.items() if k != missing}).encode(),
@@ -676,6 +677,7 @@ def test_malformed_jsonl_input_exits_with_data_error(tmp_path, stage, good, buil
         "too many digits": (b'{"org_id": 1' + b"0" * 5000 + b"}", "not JSON"),
         "not an object": (b'["org1"]', "expected a JSON object, got list"),
         "not UTF-8": (b'{"org_id": "\xc3\xa9\xff"}', "not UTF-8: byte 0xff"),
+        "too deep": (b'{"org_id": ' + DEEP_JSON.encode() + b"}", "not JSON: nesting too deep"),
     }[fault]
     bad = tmp_path / "in" / "train.jsonl"
     bad.parent.mkdir()
@@ -949,11 +951,15 @@ def test_reference_date_forms_do_not_depend_on_the_interpreter(tmp_path, value, 
     ("beta", [0, 1, 0, "1", 0, 0], "'beta' must be a list of numbers"),
     ("reference_date", "June", "reference_date must be an ISO date, got 'June'"),
     ("seed", -1, "seed must be >= 0"),
-], ids=["int-as-string", "dict-as-list", "list-of-strings", "bad-date", "negative-seed"])
+    ("beta", DEEP_JSON, "nesting too deep"),
+], ids=["int-as-string", "dict-as-list", "list-of-strings", "bad-date", "negative-seed", "too-deep"])
 def test_mistyped_synth_config_is_usage_error(tmp_path, field, value, shown):
     config = json.loads((CONFIG_DIR / "synth_threshold.json").read_text())
     path = tmp_path / "synth.json"
-    path.write_text(json.dumps({**config, field: value}), encoding="utf-8")
+    text = json.dumps({**config, field: value})
+    if value is DEEP_JSON:
+        text = text.replace(json.dumps(DEEP_JSON), DEEP_JSON)
+    path.write_text(text, encoding="utf-8")
     result = invoke("synth", "--synth-config", str(path), "--out", str(tmp_path / "data"))
     assert result.exit_code == 2, result.output
     assert shown in result.output

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DEEP_JSON
 from ventureval.client import (
     FALLBACK_PARSED,
     PARSED,
@@ -224,6 +225,20 @@ def test_chat_complete_malformed_json_is_transport_error():
             transport=lambda u, p, t, h: (200, "<html>oops</html>"),
             sleep=lambda s: None,
         )
+
+
+def test_chat_complete_too_deep_json_is_transport_error_without_retry():
+    sent = []
+
+    def transport(url, payload, timeout_s, headers):
+        sent.append(payload)
+        return 200, DEEP_JSON
+
+    with pytest.raises(TransportError, match="^malformed chat-completion response: nesting too deep$") as info:
+        chat_complete(ENDPOINT, [{"role": "user", "content": "hi"}], transport=transport,
+                      sleep=lambda s: None)
+    assert len(sent) == 1
+    assert len(info.value.attempts) == 1
 
 
 def test_request_payload_shape_and_auth(monkeypatch):

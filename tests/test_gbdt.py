@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DEEP_JSON
 from ventureval import gbdt
 from ventureval.errors import DataError
 from ventureval.gbdt import (
@@ -221,6 +222,7 @@ def test_model_format_version_checked():
         ("base_score", "nan", "^base_score is not a finite number: 'nan'$"),
         ("threshold", True, r"^trees\[0\]\.threshold is not a finite number: True$"),
         ("feature", 9, r"^trees\[0\]\.feature is not below n_features 1: 9$"),
+        pytest.param("left", DEEP_JSON, "^nesting too deep$", id="too-deep"),
     ],
 )
 def test_malformed_model_field_is_named(field, value, message):
@@ -229,8 +231,24 @@ def test_malformed_model_field_is_named(field, value, message):
         obj["base_score"] = value
     else:
         obj["trees"][0][field] = value
+    text = json.dumps(obj)
+    if value is DEEP_JSON:
+        text = text.replace(json.dumps(DEEP_JSON), DEEP_JSON)
     with pytest.raises(ValueError, match=message):
-        from_json(json.dumps(obj))
+        from_json(text)
+
+
+def test_tree_too_deep_to_walk_is_value_error(monkeypatch):
+    # A decoder with a higher depth limit than Python's (3.12's) can return
+    # such a tree; build it here so that the walk is tested on every Python.
+    obj = json.loads(HAND_MODEL_JSON)
+    node = {"weight": 0.0}
+    for _ in range(5000):
+        node = {"feature": 0, "threshold": 0.5, "left": node, "right": {"weight": 0.0}}
+    obj["trees"] = [node]
+    monkeypatch.setattr(gbdt, "decode_json", lambda text: obj)
+    with pytest.raises(ValueError, match="^trees nest too deep$"):
+        from_json("")
 
 
 # ------------------------------------------------------------------ binning

@@ -27,7 +27,6 @@ from ventureval.prompts import (
     enforce_budget,
     exemplar_turns,
     read_records_jsonl,
-    render_profile_block,
     render_prompt,
     sample_fewshot,
     sanitize_text,
@@ -75,8 +74,14 @@ def test_count_tokens_special_markers_are_atomic():
 # ------------------------------------------------------------- rendering
 
 
+def profile_block(p: CompanyProfile) -> str:
+    """The field-per-line block that a V3 prompt ends with."""
+    text = render_prompt(p, variant="V3", mode="inference").messages[0].content
+    return text[text.index(PROFILE_BLOCK_HEADER):]
+
+
 def test_profile_block_zero_profile_renders_unknown_age():
-    block = render_profile_block(
+    block = profile_block(
         profile(age_years=-1.0, total_raised_usd=0.0, num_funding_rounds=0,
                 num_investors=0, num_executives=0, description="")
     )
@@ -87,12 +92,12 @@ def test_profile_block_zero_profile_renders_unknown_age():
 
 def test_profile_block_matches_golden(golden_profile):
     golden = (GOLDEN_DIR / "profile_block.txt").read_text(encoding="utf-8")
-    assert render_profile_block(golden_profile) == golden
+    assert profile_block(golden_profile) == golden
 
 
 def test_profile_blocks_differ_only_on_name_line():
-    a = render_profile_block(profile(name="Acme"))
-    b = render_profile_block(profile(name="Zeta"))
+    a = profile_block(profile(name="Acme"))
+    b = profile_block(profile(name="Zeta"))
     diff = [
         (la, lb) for la, lb in zip(a.splitlines(), b.splitlines()) if la != lb
     ]
@@ -200,7 +205,7 @@ def test_justification_never_mentions_exit_events():
 
 def test_justification_numbers_appear_in_profile_block():
     p = profile(success=1, total_raised_usd=42_000_000.0)
-    block = render_profile_block(p)
+    block = profile_block(p)
     block_values = set(re.findall(r"\d+(?:\.\d+)?", block))
     for number in re.findall(r"\d+(?:\.\d+)?", template_justification(p)):
         assert number in block_values
