@@ -187,6 +187,7 @@ def synth_cmd(ctx, synth_config_path, out_dir, n_companies, seed):
             synth_config.seed = seed
         synth_config.validate()
     result = synth_mod.generate(synth_config, out_dir)
+    bayes = synth_mod.estimate_bayes_accuracy(synth_config)
     _write_json(
         out_dir / "synth_summary.json",
         {
@@ -199,6 +200,9 @@ def synth_cmd(ctx, synth_config_path, out_dir, n_companies, seed):
             ),
             "noise": synth_config.noise,
             "seed": synth_config.seed,
+            "beta": synth_config.beta,
+            "intercept": synth_config.intercept,
+            "bayes_accuracy": dataclasses.asdict(bayes),
             "tables": {k: str(p) for k, p in result.table_paths.items()},
             "ground_truth": str(result.ground_truth_path),
         },

@@ -23,6 +23,9 @@ DEFAULT_REFERENCE_DATE = date(2025, 6, 11)
 # The prompt variants, from bare (V1) to most structured (V4); see prompts.
 VARIANTS = ("V1", "V2", "V3", "V4")
 
+# eval-endpoint runs one worker thread per request in flight.
+MAX_IN_FLIGHT = 256
+
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
@@ -89,8 +92,8 @@ class EndpointConfig:
             raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
         if self.max_completion_tokens < 1:
             raise ValueError("max_completion_tokens must be >= 1")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+        if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
+            raise ValueError(f"max_in_flight must be in [1, {MAX_IN_FLIGHT}]")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 

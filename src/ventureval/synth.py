@@ -1,9 +1,11 @@
 """Synthetic relational company tables with a known success mechanism.
 
-Feature rows (rounds, investments, jobs, founding dates) are generated
-first; the latent score is a linear function of the standardized
-*realized* features, so labels computed downstream from the written CSVs
-agree with the recorded ground truth. Success events are then realized as
+Every per-company quantity is drawn first, one vector draw per quantity
+in a fixed order; the ones the latent score reads come from
+``_draw_companies``, which the Monte-Carlo estimators call too. The
+latent score is a linear function of the standardized *realized*
+features, so labels computed downstream from the written CSVs agree with
+the recorded ground truth. Success events are then realized as
 an IPO row or an acquisition row (acquiree role) per positive company,
 with a 50/50 seeded choice, and optional-field blanking happens last so
 missingness can never corrupt a label.
@@ -17,14 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
+from itertools import islice, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import ingest
 from .config import DEFAULT_REFERENCE_DATE
-from .features import DAYS_PER_YEAR, FEATURE_COLUMNS, compute_age, decode_json, is_number, write_jsonl
+from .features import DAYS_PER_YEAR, FEATURE_COLUMNS, decode_json, is_number, write_jsonl
 
 NOISE_MODES = ("threshold", "logistic")
 
@@ -252,19 +256,53 @@ class GeneratedCorpus:
     n_positive: int
 
 
-def _round_amounts(rng, config, count: int):
-    if count == 0:
-        return []
-    draws = rng.lognormal(config.funding_mu, config.funding_sigma, count)
-    return [max(0.0, float(np.round(a))) for a in draws]
+class _Companies(NamedTuple):
+    """The drawn quantities behind the latent score, one column each."""
+
+    age_days: np.ndarray
+    n_rounds: np.ndarray
+    amounts: np.ndarray  # every round's amount, company by company
+    investors: np.ndarray
+    executives: np.ndarray
+    features: np.ndarray  # (n, 6), in FEATURE_COLUMNS order
 
 
-def _blank(rows, column, rate, rng, empty=None):
-    """Set ``column`` to ``empty`` in each row with probability ``rate``,
-    one draw per row in order; no draws when the rate is unset or 0."""
-    if not rate:
-        return rows
-    return [row._replace(**{column: empty}) if rng.random() < rate else row for row in rows]
+def _draw_companies(config: SynthConfig, n: int, rng) -> _Companies:
+    """Draw ``n`` companies' ages, rounds, investors and executives, one
+    vector draw per quantity. ``generate`` and the Monte-Carlo estimators
+    both call this, so they sample one feature process."""
+    lo, hi = config.age_range_years
+    age_days = np.round(rng.uniform(lo, hi, n) * DAYS_PER_YEAR).astype(np.int64)
+    n_rounds = rng.poisson(config.rounds_lambda, n)
+    amounts = np.round(rng.lognormal(config.funding_mu, config.funding_sigma, int(n_rounds.sum())))
+    # bincount adds each company's amounts in round order, as a sum over its rows does.
+    raised = np.bincount(np.repeat(np.arange(n), n_rounds), weights=amounts, minlength=n)
+    investors = rng.poisson(config.investors_lambda, n)
+    investors[n_rounds == 0] = 0
+    executives = rng.poisson(config.executives_lambda, n)
+    features = np.zeros((n, 6), dtype=np.float64)
+    features[:, 0] = age_days / DAYS_PER_YEAR
+    features[:, 1] = raised
+    features[:, 2] = n_rounds
+    features[:, 3] = investors
+    features[:, 5] = executives
+    return _Companies(age_days, n_rounds, amounts, investors, executives, features)
+
+
+def _blanks(rng, rate, count):
+    """Which of ``count`` rows to blank, one draw per row; None, with no
+    draw, when the rate is unset or 0."""
+    return rng.random(count) < rate if rate else None
+
+
+def _blanked(values, blanks, empty=None):
+    """``values``, with ``empty`` in place of each one that ``blanks`` marks."""
+    return values if blanks is None else (empty if b else v for v, b in zip(values, blanks.tolist()))
+
+
+def _pick(choices, indices):
+    """An iterator over ``choices[i]`` for each drawn index ``i``."""
+    return map(choices.__getitem__, indices.tolist())
 
 
 def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
@@ -272,142 +310,98 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
 
     Fully deterministic for a given config (byte-identical across runs).
     The tables use the package's default column mapping, so they feed
-    straight into ingestion with no flags.
+    straight into ingestion with no flags. Every quantity is drawn as one
+    column, in a fixed order; the rows are then built from the columns
+    while each table is written.
     """
     config.validate()
     out_dir = Path(out_dir)
+    n = config.n_companies
     rng = np.random.default_rng(config.seed)
-    reference = ingest.parse_iso_date(config.reference_date)
-    lo, hi = config.age_range_years
+    drawn = _draw_companies(config, n, rng)
+    n_other = rng.poisson(config.other_jobs_lambda, n)
+    # A round or exit falls 1 .. max_offset - 1 days after founding, so at
+    # most one day after the reference date.
+    max_offsets = np.maximum(drawn.age_days, 2)
+    round_offsets = rng.integers(1, np.repeat(max_offsets, drawn.n_rounds))
+    prefixes = rng.integers(len(_NAME_PREFIXES), size=n)
+    suffixes = rng.integers(len(_NAME_SUFFIXES), size=n)
+    qualifiers = rng.integers(len(_DESC_QUALIFIERS), size=n)
+    domains = rng.integers(len(_DESC_DOMAINS), size=n)
+    audiences = rng.integers(len(_DESC_AUDIENCES), size=n)
+    n_extras = rng.poisson(1.0, n)
+    extras = rng.integers(len(_DESC_EXTRAS), size=int(n_extras.sum()))
+    leaky = rng.random(n) < config.leak_phrase_rate
+    leaks = rng.integers(len(_LEAK_SENTENCES), size=int(leaky.sum()))
+    exec_titles = rng.integers(len(_EXEC_TITLES), size=int(drawn.executives.sum()))
+    other_titles = rng.integers(len(_OTHER_TITLES), size=int(n_other.sum()))
 
-    orgs, rounds, investments, jobs = [], [], [], []
-    ipos, acquisitions = [], []
-    features = np.zeros((config.n_companies, 6), dtype=np.float64)
-    founded_dates = []
-
-    for i in range(config.n_companies):
-        org_id = f"org_{i:05d}"
-        name = (
-            f"{_NAME_PREFIXES[int(rng.integers(len(_NAME_PREFIXES)))]} "
-            f"{_NAME_SUFFIXES[int(rng.integers(len(_NAME_SUFFIXES)))]} {i}"
-        )
-        age_draw = float(rng.uniform(lo, hi))
-        founded = reference - timedelta(days=int(round(age_draw * DAYS_PER_YEAR)))
-        founded_dates.append(founded)
-
-        n_rounds = int(rng.poisson(config.rounds_lambda))
-        amounts = _round_amounts(rng, config, n_rounds)
-        max_offset = max((reference - founded).days, 2)
-        for k in range(n_rounds):
-            rounds.append(
-                ingest.FundingRoundRow(
-                    round_id=f"rnd_{i:05d}_{k:02d}",
-                    org_id=org_id,
-                    announced_on=founded + timedelta(days=int(rng.integers(1, max_offset))),
-                    raised_usd=amounts[k],
-                )
-            )
-
-        n_investors = int(rng.poisson(config.investors_lambda)) if n_rounds > 0 else 0
-        for j in range(n_investors):
-            investments.append(
-                ingest.InvestmentRow(
-                    round_id=f"rnd_{i:05d}_{j % n_rounds:02d}",
-                    investor_id=f"inv_{i:05d}_{j:02d}",
-                )
-            )
-
-        n_execs = int(rng.poisson(config.executives_lambda))
-        for k in range(n_execs):
-            jobs.append(
-                ingest.JobRow(
-                    org_id=org_id,
-                    person_id=f"per_{i:05d}_{k:02d}",
-                    title=_EXEC_TITLES[int(rng.integers(len(_EXEC_TITLES)))],
-                )
-            )
-        n_other = int(rng.poisson(config.other_jobs_lambda))
-        for k in range(n_other):
-            jobs.append(
-                ingest.JobRow(
-                    org_id=org_id,
-                    person_id=f"per_{i:05d}_{n_execs + k:02d}",
-                    title=_OTHER_TITLES[int(rng.integers(len(_OTHER_TITLES)))],
-                )
-            )
-
-        sentences = [
-            f"{name} builds "
-            f"{_DESC_QUALIFIERS[int(rng.integers(len(_DESC_QUALIFIERS)))]} "
-            f"{_DESC_DOMAINS[int(rng.integers(len(_DESC_DOMAINS)))]} for "
-            f"{_DESC_AUDIENCES[int(rng.integers(len(_DESC_AUDIENCES)))]}."
-        ]
-        for _ in range(int(rng.poisson(1.0))):
-            sentences.append(_DESC_EXTRAS[int(rng.integers(len(_DESC_EXTRAS)))])
-        if rng.random() < config.leak_phrase_rate:
-            sentences.append(_LEAK_SENTENCES[int(rng.integers(len(_LEAK_SENTENCES)))])
-        description = " ".join(sentences)
-
-        orgs.append(
-            ingest.OrganizationRow(
-                org_id=org_id,
-                name=name,
-                description=description,
-                founded_on=founded,
-                created_at=None,
-            )
-        )
-        features[i] = [
-            compute_age(founded, reference),
-            float(sum(amounts)),
-            n_rounds,
-            n_investors,
-            0.0,
-            n_execs,
-        ]
-
-    latents = latent_score(features, config) if config.n_companies else np.zeros(0)
+    latents = latent_score(drawn.features, config)
     if config.noise == "threshold":
         labels = (latents > 0).astype(np.int64)
     else:
-        labels = (rng.random(config.n_companies) < _sigmoid(latents)).astype(np.int64)
+        labels = (rng.random(n) < _sigmoid(latents)).astype(np.int64)
 
     # Event realization: exactly one exit row per positive company.
-    for i in range(config.n_companies):
-        if labels[i] != 1:
-            continue
-        founded = founded_dates[i]
-        max_offset = max((reference - founded).days, 2)
-        event_date = founded + timedelta(days=int(rng.integers(1, max_offset)))
-        use_ipo = bool(rng.random() < 0.5) or config.n_companies < 2
-        if use_ipo:
-            ipos.append(ingest.IpoRow(org_id=f"org_{i:05d}", went_public_on=event_date))
-        else:
-            j = int(rng.integers(config.n_companies - 1))
-            if j >= i:
-                j += 1
-            acquisitions.append(
-                ingest.AcquisitionRow(
-                    acquiree_id=f"org_{i:05d}",
-                    acquirer_id=f"org_{j:05d}",
-                    announced_on=event_date,
-                )
-            )
+    positives = np.flatnonzero(labels)
+    event_offsets = rng.integers(1, max_offsets[positives])
+    ipo = (rng.random(len(positives)) < 0.5) | (n < 2)  # a lone company has no acquirer
+    acquirees = positives[~ipo]
+    acquirers = rng.integers(n - 1, size=len(acquirees))
+    acquirers += acquirers >= acquirees  # never the acquiree itself
 
     # Missingness last: blanking optional fields cannot change any label.
     rates = config.missing_rates
-    orgs = _blank(orgs, "founded_on", rates.get("founded_on"), rng)
-    orgs = _blank(orgs, "description", rates.get("description"), rng, empty="")
-    rounds = _blank(rounds, "raised_usd", rates.get("raised_usd"), rng)
-    rounds = _blank(rounds, "announced_on", rates.get("announced_on"), rng)
+    no_founded = _blanks(rng, rates.get("founded_on"), n)
+    no_description = _blanks(rng, rates.get("description"), n)
+    no_raised = _blanks(rng, rates.get("raised_usd"), len(round_offsets))
+    no_announced = _blanks(rng, rates.get("announced_on"), len(round_offsets))
 
+    # The rows, built from the columns while each table is written.
+    founded = ingest.parse_iso_date(config.reference_date).toordinal() - drawn.age_days
+    round_company = np.repeat(np.arange(n), drawn.n_rounds)
+    event_days = founded[positives] + event_offsets
+    n_rounds = drawn.n_rounds.tolist()
+    org_ids = [f"org_{i:05d}" for i in range(n)]
+    names = [f"{p} {s} {i}" for i, (p, s) in
+             enumerate(zip(_pick(_NAME_PREFIXES, prefixes), _pick(_NAME_SUFFIXES, suffixes)))]
+    extra_sentences, leak_sentences = _pick(_DESC_EXTRAS, extras), _pick(_LEAK_SENTENCES, leaks)
+    descriptions = (
+        " ".join([f"{name} builds {q} {d} for {a}.",
+                  *islice(extra_sentences, k), *islice(leak_sentences, leak)])
+        for name, q, d, a, k, leak in zip(
+            names, _pick(_DESC_QUALIFIERS, qualifiers), _pick(_DESC_DOMAINS, domains),
+            _pick(_DESC_AUDIENCES, audiences), n_extras.tolist(), leaky.tolist())
+    )
+    exec_names, other_names = _pick(_EXEC_TITLES, exec_titles), _pick(_OTHER_TITLES, other_titles)
+    staff = (  # each company's job titles, executives first
+        [*islice(exec_names, e), *islice(other_names, o)]
+        for e, o in zip(drawn.executives.tolist(), n_other.tolist())
+    )
     tables = {
-        "organizations": orgs,
-        "funding_rounds": rounds,
-        "investments": investments,
-        "ipos": ipos,
-        "acquisitions": acquisitions,
-        "jobs": jobs,
+        "organizations": map(
+            ingest.OrganizationRow, org_ids, names, _blanked(descriptions, no_description, ""),
+            _blanked(map(date.fromordinal, founded.tolist()), no_founded),
+            repeat(None)),  # created_at stays empty
+        "funding_rounds": map(
+            ingest.FundingRoundRow,
+            (f"rnd_{i:05d}_{k:02d}" for i, r in enumerate(n_rounds) for k in range(r)),
+            map(org_ids.__getitem__, round_company.tolist()),
+            _blanked(map(date.fromordinal, (founded[round_company] + round_offsets).tolist()),
+                     no_announced),
+            _blanked(drawn.amounts.tolist(), no_raised)),
+        "investments": (
+            ingest.InvestmentRow(f"rnd_{i:05d}_{j % r:02d}", f"inv_{i:05d}_{j:02d}")
+            for i, (r, v) in enumerate(zip(n_rounds, drawn.investors.tolist())) for j in range(v)),
+        "ipos": (
+            ingest.IpoRow(org_ids[i], date.fromordinal(day))
+            for i, day in zip(positives[ipo].tolist(), event_days[ipo].tolist())),
+        "acquisitions": (
+            ingest.AcquisitionRow(org_ids[i], org_ids[j], date.fromordinal(day))
+            for i, j, day in zip(acquirees.tolist(), acquirers.tolist(), event_days[~ipo].tolist())),
+        "jobs": (
+            ingest.JobRow(org_ids[i], f"per_{i:05d}_{k:02d}", title)
+            for i, titles in enumerate(staff) for k, title in enumerate(titles)),
     }
     mapping = ingest.default_mapping()
     table_paths = {}
@@ -416,12 +410,8 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
         ingest.write_table(rows, table_paths[kind], kind, mapping=mapping)
 
     ground_truth = [
-        {
-            "org_id": f"org_{i:05d}",
-            "latent": float(latents[i]),
-            "label": int(labels[i]),
-        }
-        for i in range(config.n_companies)
+        {"org_id": org_id, "latent": latent, "label": label}
+        for org_id, latent, label in zip(org_ids, latents.tolist(), labels.tolist())
     ]
     gt_path = out_dir / "ground_truth.jsonl"
     write_jsonl(ground_truth, gt_path)
@@ -431,27 +421,6 @@ def generate(config: SynthConfig, out_dir) -> GeneratedCorpus:
         ground_truth=ground_truth,
         n_positive=int(labels.sum()),
     )
-
-
-def _simulate_realized_features(config: SynthConfig, n: int, rng) -> np.ndarray:
-    """Fresh draws from the same realized-feature process generate() uses."""
-    lo, hi = config.age_range_years
-    age = np.round(rng.uniform(lo, hi, n) * DAYS_PER_YEAR) / DAYS_PER_YEAR
-    n_rounds = rng.poisson(config.rounds_lambda, n)
-    total = n_rounds.sum()
-    amounts = np.round(rng.lognormal(config.funding_mu, config.funding_sigma, int(total)))
-    boundaries = np.cumsum(n_rounds)[:-1]
-    raised = np.array([chunk.sum() for chunk in np.split(amounts, boundaries)])
-    investors = rng.poisson(config.investors_lambda, n).astype(np.float64)
-    investors[n_rounds == 0] = 0.0
-    execs = rng.poisson(config.executives_lambda, n).astype(np.float64)
-    features = np.zeros((n, 6), dtype=np.float64)
-    features[:, 0] = age
-    features[:, 1] = raised
-    features[:, 2] = n_rounds
-    features[:, 3] = investors
-    features[:, 5] = execs
-    return features
 
 
 @dataclass(frozen=True)
@@ -474,7 +443,7 @@ def estimate_bayes_accuracy(config: SynthConfig, n_mc: int = 20000, seed: int = 
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1000 for a stable estimate")
     rng = np.random.default_rng(config.seed + 1 if seed is None else seed)
-    features = _simulate_realized_features(config, n_mc, rng)
+    features = _draw_companies(config, n_mc, rng).features
     p = _sigmoid(latent_score(features, config))
     per_sample = np.maximum(p, 1.0 - p)
     return BayesEstimate(
@@ -488,7 +457,7 @@ def estimate_positive_rate(config: SynthConfig, n_mc: int = 20000, seed: int = N
     """Monte-Carlo estimate of the positive-class rate the config implies."""
     config.validate()
     rng = np.random.default_rng(config.seed + 2 if seed is None else seed)
-    features = _simulate_realized_features(config, n_mc, rng)
+    features = _draw_companies(config, n_mc, rng).features
     latents = latent_score(features, config)
     if config.noise == "threshold":
         return float((latents > 0).mean())

@@ -22,10 +22,11 @@ from conftest import CONFIG_DIR, DEEP_JSON, GOLDEN_PROFILE
 from ventureval.cli import main
 from ventureval.config import EndpointConfig, GbdtConfig, RunConfig, derive_seed
 from ventureval.features import FEATURE_COLUMNS, write_profiles_jsonl
+from ventureval.ingest import TABLE_KINDS
 from ventureval.prompts import (
     ChatMessage, ChatRecord, emit_jsonl, render_prompt, template_tokens, training_manifest,
 )
-from ventureval.synth import SynthConfig, load_config
+from ventureval.synth import SynthConfig, estimate_bayes_accuracy, generate, load_config
 from test_cli_fuzz import assert_exit_0_or_3, mutated
 
 runner = CliRunner()
@@ -483,10 +484,12 @@ def write_eval_dataset(path, contents):
                                         ("--timeout-s", "inf"), ("--timeout-s", "0"),
                                         ("--base-url", "http://127.0.0.1:notaport"),
                                         ("--base-url", "http://127.0.0.1:99999"),
-                                        ("--max-completion-tokens", "0")])
-def test_eval_endpoint_rejects_non_finite_settings(tmp_path, flag, value):
+                                        ("--max-completion-tokens", "0"),
+                                        ("--max-in-flight", "257")])
+def test_eval_endpoint_rejects_non_finite_settings(tmp_path, monkeypatch, flag, value):
     dataset = tmp_path / "prompts.jsonl"
     write_eval_dataset(dataset, ["company a"])
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a worker started"))
     result = invoke("eval-endpoint", "--dataset", str(dataset),
                     "--base-url", "http://127.0.0.1:9", flag, value,
                     "--out", str(tmp_path / "eval"))
@@ -943,6 +946,23 @@ def test_reference_date_forms_do_not_depend_on_the_interpreter(tmp_path, value, 
     assert result.exit_code == (0 if valid else 2), result.output
     if not valid:
         assert f"not an ISO-8601 date: {value!r}" in result.output
+
+
+@pytest.mark.parametrize("name", ["synth_threshold.json", "synth_logistic.json"])
+def test_synth_summary_carries_the_configs_truth(tmp_path, name):
+    run_ok("synth", "--synth-config", str(CONFIG_DIR / name), "--out", str(tmp_path / "cli"),
+           "--n", "40", "--seed", "5")
+    summary = json.loads((tmp_path / "cli" / "synth_summary.json").read_text())
+    config = load_config(CONFIG_DIR / name)
+    config.n_companies, config.seed = 40, 5
+    assert (summary["beta"], summary["intercept"]) == (list(config.beta), config.intercept)
+    assert summary["bayes_accuracy"] == dataclasses.asdict(estimate_bayes_accuracy(config))
+    if config.noise == "threshold":
+        assert summary["bayes_accuracy"] == {"accuracy": 1.0, "std_error": 0.0, "n_mc": 0}
+    # Estimating the Bayes accuracy leaves the tables as the library writes them.
+    generate(config, tmp_path / "lib")
+    for file in [f"{kind}.csv" for kind in TABLE_KINDS] + ["ground_truth.jsonl"]:
+        assert (tmp_path / "cli" / file).read_bytes() == (tmp_path / "lib" / file).read_bytes()
 
 
 @pytest.mark.parametrize("field,value,shown", [

@@ -445,6 +445,8 @@ def test_run_eval_raises_a_data_error_before_any_request(records, message):
         ("timeout_s", float("inf")),
         ("timeout_s", 0.0),
         ("max_completion_tokens", 0),
+        ("max_in_flight", 0),
+        ("max_in_flight", 257),
         ("base_url", "http://127.0.0.1:notaport"),
         ("base_url", "http://127.0.0.1:99999"),
         ("base_url", "ftp://mock.local/v1"),

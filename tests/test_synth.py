@@ -1,19 +1,26 @@
 """Synthetic corpus generator: determinism, schema, labels, estimates."""
 
 import json
+import tempfile
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
 from ventureval import synth
-from ventureval.features import derive_profiles
-from ventureval.ingest import TABLE_KINDS, load_directory
+from ventureval.features import derive_profiles, feature_matrix
+from ventureval.ingest import TABLE_KINDS, load_directory, parse_iso_date
 from ventureval.synth import (
+    NOISE_MODES,
     SynthConfig,
     estimate_bayes_accuracy,
     estimate_positive_rate,
     generate,
+    latent_score,
     load_config,
+    standardization_moments,
 )
 
 
@@ -98,7 +105,69 @@ def test_missingness_blanks_fields_without_touching_labels(tmp_path):
     assert any(p.age_years == -1.0 for p in profiles)
 
 
+@st.composite
+def small_configs(draw):
+    """Small valid configs: any noise mode, Poisson rates and ages that may be
+    0, missing and leak rates that may be 0. A beta entry whose feature has no
+    spread under the config is 0, as validate() requires."""
+    rate = st.sampled_from([0.0, 0.7, 3.0])
+    config = SynthConfig(
+        n_companies=draw(st.integers(0, 60)),
+        seed=draw(st.integers(0, 2**32)),
+        reference_date=draw(st.sampled_from(["2025-06-11", "2000-02-29"])),
+        noise=draw(st.sampled_from(NOISE_MODES)),
+        intercept=draw(st.floats(-2.0, 2.0)),
+        age_range_years=draw(st.sampled_from([(0.0, 0.0), (0.0, 0.01), (0.5, 20.0)])),
+        rounds_lambda=draw(rate),
+        investors_lambda=draw(rate),
+        executives_lambda=draw(rate),
+        other_jobs_lambda=draw(rate),
+        missing_rates=draw(st.dictionaries(st.sampled_from(synth._MISSING_RATE_FIELDS),
+                                           st.sampled_from([0.0, 0.3, 0.9]))),
+        leak_phrase_rate=draw(st.sampled_from([0.0, 0.5])),
+    )
+    _, stds = standardization_moments(config)
+    config.beta = tuple(b if s else 0.0 for b, s in zip((0.4, 1.1, 0.3, 0.8, 0.0, 0.6), stds))
+    return config
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=small_configs())
+def test_generate_keeps_its_contract(config):
+    with tempfile.TemporaryDirectory() as out:
+        result = generate(config, out)
+        store, row_errors = load_directory(out)
+    assert not any(row_errors.values()) and store.integrity["total_dangling"] == 0
+    truth = {entry["org_id"]: entry for entry in result.ground_truth}
+    exits = [ipo.org_id for ipo in store.ipos] + [acq.acquiree_id for acq in store.acquisitions]
+    assert sorted(exits) == sorted(org for org, entry in truth.items() if entry["label"] == 1)
+
+    reference = parse_iso_date(config.reference_date)
+    founded = {org.org_id: org.founded_on for org in store.organizations}
+    dated = ([(r.org_id, r.announced_on) for r in store.funding_rounds]
+             + [(ipo.org_id, ipo.went_public_on) for ipo in store.ipos]
+             + [(acq.acquiree_id, acq.announced_on) for acq in store.acquisitions])
+    for org_id, day in dated:
+        if day is not None:
+            assert day <= reference + timedelta(days=1)
+            assert founded[org_id] is None or founded[org_id] < day
+
+    if not any(config.missing_rates.values()):
+        profiles, anomalies = derive_profiles(store, reference)
+        assert not anomalies and len(profiles) == config.n_companies
+        latents = latent_score(feature_matrix(profiles), config) if profiles else []
+        for profile, latent in zip(profiles, latents):
+            assert latent == pytest.approx(truth[profile.org_id]["latent"], abs=1e-9)
+            if config.noise == "threshold":
+                assert truth[profile.org_id]["label"] == int(latent > 0)
+
+
 def test_class_ratio_tracks_configured_mechanism(tmp_path):
+    """The realised class ratio against the Monte-Carlo rate. generate and
+    estimate_positive_rate draw features through one function, so this
+    compares two uses of it; test_generate_keeps_its_contract checks the
+    label mechanism itself: latents re-derived from the written CSVs, and in
+    threshold mode each label against its latent."""
     config = SynthConfig(n_companies=2000, seed=13, noise="threshold")
     result = generate(config, tmp_path)
     target = estimate_positive_rate(config, n_mc=40000)
