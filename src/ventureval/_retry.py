@@ -34,6 +34,9 @@ class RetryableFailure(Exception):
 # http.client's bounds on a line of an answer and on the lines of its head.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+# The bound on an answer's body, which http.client does not set: a completion
+# is a few kilobytes, and a claimed length is not allocated unchecked.
+_MAX_BODY = 1 << 20
 # The checks http.client makes before sending: a header name, a header value
 # that would start a new line, and a control character in the request target.
 _LEGAL_NAME = re.compile(rb"[^:\s][^:\r\n]*").fullmatch
@@ -57,6 +60,12 @@ def _line(rfile) -> bytes:
     return line
 
 
+def _body_size(size) -> int:
+    if size > _MAX_BODY:
+        raise RetryableFailure(f"answer body longer than {_MAX_BODY} bytes")
+    return size
+
+
 def _exactly(rfile, size) -> bytes:
     data = rfile.read(max(size, 0))
     if len(data) != size:
@@ -67,7 +76,9 @@ def _exactly(rfile, size) -> bytes:
 def _read_response(rfile, line) -> tuple:
     """``(status, text, keep_open)`` of the answer whose status line is
     ``line``, read from ``rfile`` as http.client reads it, 1xx answers
-    skipped. Malformed HTTP raises RetryableFailure or ValueError."""
+    skipped. Malformed HTTP and a body longer than ``_MAX_BODY`` raise
+    RetryableFailure or ValueError; a claimed length over it is refused
+    before any of the body is read."""
     while True:
         version, status, *_ = line.decode("latin-1").split(None, 2) + ["", ""]
         status = int(status)
@@ -89,8 +100,9 @@ def _read_response(rfile, line) -> tuple:
                  and "close" not in fields.get("connection", "").lower())
     length = fields.get("content-length", "")
     if fields.get("transfer-encoding", "").lower() == "chunked":
-        chunks = []
+        chunks, received = [], 0
         while size := int(_line(rfile).partition(b";")[0], 16):
+            received = _body_size(received + size)
             chunks.append(_exactly(rfile, size))
             rfile.read(2)
         while _line(rfile) not in _END_OF_HEAD:  # the trailer
@@ -99,9 +111,10 @@ def _read_response(rfile, line) -> tuple:
     elif status in (204, 304):
         body = b""
     elif length.isdecimal():
-        body = _exactly(rfile, int(length))
+        body = _exactly(rfile, _body_size(int(length)))
     else:
-        body, keep_open = rfile.read(), False
+        body, keep_open = rfile.read(_MAX_BODY + 1), False
+        _body_size(len(body))
     charset = _CHARSET(fields.get("content-type", ""))
     try:
         return status, body.decode(charset and charset[1] or "utf-8", errors="replace"), keep_open

@@ -10,8 +10,13 @@ the run's out directory, so any stage can be re-run in isolation. Exit
 codes: 0 success; 2 a bad flag, run config or synth config, or a missing
 input; 3 a data error; 4 a transport error. Anything else exits 1 with a
 traceback, and is a bug. Structured JSONL progress lines go to stderr (or
---log-file); a stage's line carries its ``duration_s``, the seconds of its
-sub-steps (``_timed``) and its counts.
+--log-file); a stage's line carries its ``duration_s``, its ``cpu_s`` and
+``peak_rss_mb``, the seconds of its sub-steps (``_timed``) and its counts.
+
+Every command runs with the cyclic garbage collector off (``_stage``): no
+command leaves cyclic garbage that grows with its input, so the collector
+would only walk live objects. No command needs BLAS threads, so OpenBLAS
+gets one unless the caller set ``OPENBLAS_NUM_THREADS``.
 
 An option that falls back to the run config declares that as its default
 (``_from_config``), so a flag always wins over the config file, which wins
@@ -23,7 +28,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import gc
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -38,6 +45,9 @@ from . import config as config_mod
 from . import ingest as ingest_mod
 from .config import VARIANTS, derive_seed
 from .errors import DataError, TransportError
+
+# Set before any command imports NumPy: OpenBLAS reads it once, as it loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 EXIT_DATA = 3
 EXIT_TRANSPORT = 4
@@ -59,20 +69,40 @@ def _log(ctx, stage: str, **fields) -> None:
         click.echo(line, err=True)
 
 
+def _peak_rss() -> dict:
+    """``{"peak_rss_mb": ...}`` from the process's ``VmHWM``, or ``{}`` where
+    ``/proc/self/status`` cannot be read. Not ``resource.getrusage``: Linux
+    carries the parent's high-water mark from before ``exec`` into
+    ``ru_maxrss`` (and ``wait4``'s), so a small stage started by a large
+    process would report the parent's peak."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return {"peak_rss_mb": round(int(line.split()[1]) / 1024, 1)}
+    except OSError:
+        pass
+    return {}
+
+
 def _stage(name):
     """Wrap a command body: timing, structured logging, exit-code mapping.
 
-    Usage errors (exit 2) are raised as ``click.ClickException`` by option
-    parsing, ``_require_file`` and ``_usage``, and pass through. Any other
-    exception is a bug and keeps its traceback.
+    The body runs with the cyclic garbage collector off; the caller's
+    collector state comes back however the body ends. Usage errors (exit 2)
+    are raised as ``click.ClickException`` by option parsing,
+    ``_require_file`` and ``_usage``, and pass through. Any other exception
+    is a bug and keeps its traceback.
     """
 
     def decorator(fn):
         @functools.wraps(fn)
         @click.pass_context
         def wrapper(ctx, *args, **kwargs):
-            started = time.monotonic()
+            started, cpu_started = time.monotonic(), time.process_time()
             ctx.obj["timings"] = timings = {}
+            collecting = gc.isenabled()
+            gc.disable()
             try:
                 counts = fn(ctx, *args, **kwargs) or {}
             except DataError as exc:
@@ -83,11 +113,16 @@ def _stage(name):
                 _log(ctx, name, status="error", error=str(exc))
                 click.echo(f"transport error: {exc}", err=True)
                 sys.exit(EXIT_TRANSPORT)
+            finally:
+                if collecting:
+                    gc.enable()
             _log(
                 ctx,
                 name,
                 status="ok",
                 duration_s=round(time.monotonic() - started, 3),
+                cpu_s=round(time.process_time() - cpu_started, 3),
+                **_peak_rss(),
                 **timings,
                 **counts,
             )

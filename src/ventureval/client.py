@@ -213,13 +213,17 @@ def _score(outcomes: list, connections: int = 0) -> EvalResult:
 def dataset_labels(records) -> dict:
     """``org_id -> true 0/1 label`` of an eval dataset. The audit joins on
     org_id, so an empty dataset, a record without a true 0/1 label, and a
-    missing or repeated org_id raise DataError."""
+    missing or repeated org_id raise DataError. So does a record whose last
+    turn is not the user's: the endpoint would be sent the answer (a
+    supervised record ends with its own ``Prediction:``)."""
     labels = {}
     for number, record in enumerate(records, 1):
         if record.org_id is None:
             raise DataError(f"record {number} has no org_id")
         if record.label not in (0, 1):
             raise DataError(f"record {record.org_id!r} has no true 0/1 label")
+        if not record.messages or record.messages[-1].role != "user":
+            raise DataError(f"record {record.org_id!r} does not end with a user turn")
         org_id = str(record.org_id)
         if org_id in labels:
             raise DataError(f"org_id {record.org_id!r} appears more than once")

@@ -775,6 +775,13 @@ DATASET_FAULTS = [
     ("no-org-id",
      [json.dumps(RECORD_LINE), json.dumps({k: v for k, v in RECORD_LINE.items() if k != "org_id"})],
      "record 2 has no org_id"),
+    # A supervised record would send the endpoint its own answer.
+    ("supervised",
+     [json.dumps(RECORD_LINE), json.dumps({
+         **RECORD_LINE, "org_id": "org1",
+         "messages": RECORD_LINE["messages"] + [{"role": "assistant", "content": "Prediction: Successful"}],
+     })],
+     "record 'org1' does not end with a user turn"),
 ]
 
 

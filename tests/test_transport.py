@@ -10,6 +10,7 @@ import random
 import re
 import socket
 import socketserver
+import struct
 import subprocess
 import sys
 import threading
@@ -19,15 +20,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ventureval
 from ventureval import _retry, client
 from ventureval._retry import RetryableFailure, Sender, post_json, run_with_retries
+from ventureval.cli import main
 from ventureval.client import EndpointConfig, chat_complete, run_eval
 from ventureval.errors import TransportError
-from ventureval.prompts import ChatMessage, ChatRecord
+from ventureval.prompts import ChatMessage, ChatRecord, emit_jsonl
 
 MESSAGES = [{"role": "user", "content": "hi"}]
 
@@ -466,8 +469,10 @@ def test_https_through_a_proxy_opens_a_tunnel(proxy, monkeypatch):
 
 class RawHandler(socketserver.StreamRequestHandler):
     """Records each request's bytes and answers it with ``server.answer``
-    verbatim; acknowledges a CONNECT and reads the tunnelled request on the
-    same socket. With ``server.close`` it hangs up after one answer."""
+    verbatim, or with what ``server.answer(request)`` returns when it is
+    callable: ``None`` resets the connection instead. Acknowledges a CONNECT
+    and reads the tunnelled request on the same socket. With
+    ``server.close`` it hangs up after one answer."""
 
     def handle(self):
         server = self.server
@@ -484,8 +489,13 @@ class RawHandler(socketserver.StreamRequestHandler):
                 self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
                 continue
             length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head)[1])
-            server.requests.append(head + self.rfile.read(length))
-            self.wfile.write(server.answer)
+            request = head + self.rfile.read(length)
+            server.requests.append(request)
+            answer = server.answer(request) if callable(server.answer) else server.answer
+            if answer is None:  # closing with a zero linger sends RST
+                self.request.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                return
+            self.wfile.write(answer)
             if server.close:
                 return
 
@@ -613,6 +623,58 @@ def test_a_malformed_answer_is_a_failed_attempt(raw, answer):
     finally:
         sender.close()
     assert sender.connections == 2
+
+
+# The cap on an answer's body that README states.
+MAX_BODY = 1 << 20
+
+
+def over_the_cap(framing):
+    """A 200 answer whose body is longer than the transport's cap. Read
+    whole, its chunked or close-delimited body would be a good completion,
+    padded with spaces; the length framing claims 10**12 bytes and sends
+    none of them."""
+    if framing == "length":
+        return b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\n"
+    body = completion_body("Prediction: Successful").encode("utf-8")
+    body += b" " * (MAX_BODY + 1 - len(body))
+    if framing == "chunked":
+        return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n"
+                b"1\r\n%s\r\n0\r\n\r\n" % (len(body) - 1, body[:-1], body[-1:]))
+    return b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + body
+
+
+FRAMINGS = ["length", "chunked", "close"]
+
+
+@pytest.mark.parametrize("framing", FRAMINGS)
+def test_a_body_over_the_cap_is_a_failed_attempt(raw, framing):
+    raw.answer, raw.close = over_the_cap(framing), True
+    sender = Sender()
+    try:
+        with pytest.raises(RetryableFailure, match=f"longer than {MAX_BODY} bytes"):
+            sender(raw.url, {"n": 1}, 5.0)
+        raw.answer = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        assert sender(raw.url, {"n": 2}, 5.0) == (200, "ok")
+    finally:
+        sender.close()
+    assert sender.connections == 2
+
+
+@pytest.mark.parametrize("framing", FRAMINGS)
+def test_eval_endpoint_goes_on_past_bodies_over_the_cap(raw, tmp_path, framing):
+    raw.answer, raw.close = over_the_cap(framing), True
+    dataset, eval_dir = tmp_path / "prompts.jsonl", tmp_path / "eval"
+    emit_jsonl(eval_records(3), dataset)
+    result = CliRunner().invoke(main, ["eval-endpoint", "--dataset", str(dataset),
+                                       "--base-url", raw.url, "--max-retries", "0",
+                                       "--max-in-flight", "1", "--out", str(eval_dir)])
+    assert result.exit_code == 4, result.output
+    assert "every request failed at the transport level" in result.output
+    audit = [json.loads(line) for line in (eval_dir / "audit.jsonl").read_text().splitlines()]
+    assert [entry["org_id"] for entry in audit] == ["c0", "c1", "c2"]
+    assert {entry["transport_error"] for entry in audit} == {"retries exhausted after 1 attempts"}
+    assert len(raw.requests) == 3
 
 
 @pytest.mark.parametrize("answer, connections", [
